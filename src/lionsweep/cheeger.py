@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .errors import ResourceLimitError
-from .graphs import Graph, boundary_size_mask
+from .graphs import Graph
+from .isoperimetry import iso_profile
 
 
 @dataclass(frozen=True)
@@ -22,34 +22,20 @@ class CheegerResult:
 
 
 def cheeger_constant(g: Graph, max_vertices: int = 20) -> CheegerResult:
-    """Exact minimum over all nonempty proper subsets, by enumeration.
+    """Exact minimum over all nonempty proper subsets, as the minimum over
+    sizes s of profile[s] / min(s, |V| - s) on the isoperimetric profile.
 
-    Each unordered {S, complement} pair is visited once (subsets containing
-    vertex 0), evaluating both sides since the vertex boundary is not
-    symmetric.  Ties break to the lexicographically smallest sorted witness.
+    Ties break to the lexicographically smallest sorted witness: a subset
+    attaining the value has the minimum boundary of its size, so the
+    profile's per-size witnesses contain the smallest one.
     Connected graphs give 0 < value <= 1; disconnected graphs give 0.
     """
     if g.n < 2:
         raise ValueError("the Cheeger constant needs at least 2 vertices")
-    if g.n > max_vertices:
-        raise ResourceLimitError(f"Cheeger enumeration is 2^|V|; |V|={g.n} exceeds {max_vertices}")
-    adj = g.neighbor_masks
-    full = (1 << g.n) - 1
-    best: Fraction | None = None
-    best_witness: tuple = ()
-    for mask in range(1, full, 2):  # vertex 0 in S; complement handled in the same visit
-        size = mask.bit_count()
-        denom = min(size, g.n - size)
-        for side in (mask, full ^ mask):
-            ratio = Fraction(boundary_size_mask(adj, side), denom)
-            if best is None or ratio < best:
-                best = ratio
-                best_witness = _sorted_vertices(side)
-            elif ratio == best:
-                cand = _sorted_vertices(side)
-                if cand < best_witness:
-                    best_witness = cand
-    return CheegerResult(best, frozenset(best_witness))
+    profile = iso_profile(g, 1, g.n - 1, max_vertices)
+    value, witness = min((Fraction(profile.min_boundary[s], min(s, g.n - s)),
+                          sorted(profile.witness[s])) for s in range(1, g.n))
+    return CheegerResult(value, frozenset(witness))
 
 
 def polite_lion_bound(g_val: Fraction, num_vertices: int) -> int:
@@ -61,11 +47,3 @@ def lion_bound(g_val: Fraction, num_vertices: int) -> int:
     """Largest k excluded for unrestricted lions: floor(g|V| / (4+g))."""
     g_val = Fraction(g_val)
     return floor(g_val * num_vertices / (4 + g_val))
-
-
-def _sorted_vertices(mask: int) -> tuple:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return tuple(out)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
-from .graphs import Graph
+from .graphs import Graph, mask_vertices, vertex_mask
 
 STAY = -1
 
@@ -100,15 +100,9 @@ def step(g: Graph, state: SimState, mv: MoveStep) -> SimState:
                 raise ValueError(f"invalid move: lion {i} from {pos} to non-adjacent {target}")
             new_positions.append(target)
 
-    cleared_mask = 0
-    for v in state.cleared:
-        cleared_mask |= 1 << v
-    new_mask = step_cleared_mask(g.neighbor_masks, state.lions, new_positions, cleared_mask)
-    new_cleared = []
-    while new_mask:
-        new_cleared.append((new_mask & -new_mask).bit_length() - 1)
-        new_mask &= new_mask - 1
-    return SimState(state.time + 1, tuple(new_positions), frozenset(new_cleared))
+    new_mask = step_cleared_mask(g.neighbor_masks, state.lions, new_positions,
+                                 vertex_mask(state.cleared, g.n))
+    return SimState(state.time + 1, tuple(new_positions), frozenset(mask_vertices(new_mask)))
 
 
 def step_cleared_mask(adj_masks, positions, targets, cleared: int) -> int:
@@ -207,6 +201,8 @@ def write_trace(tr: Trace, path) -> None:
 
 
 def read_trace(path) -> Trace:
+    """Read a write_trace file; t must rise by one per record and the lion
+    count must not change."""
     states = []
     moves = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -220,6 +216,11 @@ def read_trace(path) -> Trace:
                 move = rec["move"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ParseError(f"bad trace record: {exc}", lineno) from None
+            if not isinstance(state.time, int) or states and state.time != states[-1].time + 1:
+                raise ParseError(f"trace record t={state.time!r} does not follow the last", lineno)
+            if states and len(state.lions) != len(states[0].lions):
+                raise ParseError(f"trace record has {len(state.lions)} lions, "
+                                 f"the first record has {len(states[0].lions)}", lineno)
             states.append(state)
             if move is not None:
                 moves.append(tuple(move))

@@ -167,6 +167,26 @@ def boundary(g: Graph, s: VertexSet) -> VertexSet:
     return frozenset(v for v in s if any(u not in s for u in g.adj[v]))
 
 
+def vertex_mask(vertices, n: int) -> int:
+    """Bitmask of a set of vertices of an n-vertex graph: bit v set iff v is in it."""
+    mask = 0
+    for v in vertices:
+        if not (0 <= v < n):
+            raise ValueError(f"vertex {v} not in graph with {n} vertices")
+        mask |= 1 << v
+    return mask
+
+
+def mask_vertices(mask: int) -> tuple:
+    """The vertices of a bitmask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def boundary_size_mask(adj_masks, s_mask: int) -> int:
     """|boundary of the bitmask subset s_mask| under the given adjacency masks."""
     count = 0

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 from .errors import ResourceLimitError
 from .graphs import (Graph, boundary, boundary_size_mask, build_square_grid,
-                     build_tri_lattice, build_triangle)
+                     build_tri_lattice, build_triangle, mask_vertices, vertex_mask)
 
 
 def triangular(n: int) -> int:
@@ -33,17 +33,16 @@ def _grid_pair(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def _fill_tables(n: int):
     """Bitmask tables for the fall-down phases on the n x n grid."""
-    def at(r, c):
-        return 1 << ((r - 1) * n + (c - 1))
+    def cells(rows, cols):
+        return vertex_mask([(r - 1) * n + (c - 1) for r in rows for c in cols], n * n)
 
-    col_mask = [sum(at(r, c) for r in range(1, n + 1)) for c in range(1, n + 1)]
-    row_mask = [sum(at(r, c) for c in range(1, n + 1)) for r in range(1, n + 1)]
-    col_fill = [[sum(at(r, c) for r in range(1, cnt + 1)) for cnt in range(n + 1)]
-                for c in range(1, n + 1)]
-    row_fill_left = [[sum(at(r, c) for c in range(1, cnt + 1)) for cnt in range(n + 1)]
-                     for r in range(1, n + 1)]
-    row_fill_right = [[sum(at(r, c) for c in range(n - cnt + 1, n + 1)) for cnt in range(n + 1)]
-                      for r in range(1, n + 1)]
+    sides = range(1, n + 1)
+    col_mask = [cells(sides, [c]) for c in sides]
+    row_mask = [cells([r], sides) for r in sides]
+    col_fill = [[cells(range(1, cnt + 1), [c]) for cnt in range(n + 1)] for c in sides]
+    row_fill_left = [[cells([r], range(1, cnt + 1)) for cnt in range(n + 1)] for r in sides]
+    row_fill_right = [[cells([r], range(n - cnt + 1, n + 1)) for cnt in range(n + 1)]
+                      for r in sides]
     return col_mask, row_mask, col_fill, row_fill_left, row_fill_right
 
 
@@ -65,9 +64,8 @@ def fall_down(n: int, s) -> frozenset:
     Column counts are preserved by the first phase and row counts by the
     second, so the image has the same cardinality as s.
     """
-    mask = _subset_mask(n, s)
-    out = _fall_down_mask(n, mask, push_left=True)
-    return _mask_to_set(out)
+    out = _fall_down_mask(n, vertex_mask(s, n * n), push_left=True)
+    return frozenset(mask_vertices(out))
 
 
 def boundary_in_both(n: int, s) -> tuple:
@@ -94,7 +92,12 @@ class FallDownReport:
 def falldown_check(n: int, max_n: int = 4) -> FallDownReport:
     """Check, over all 2^(n^2) subsets, that the down-left fall-down never
     increases the boundary count (in S_n nor in R_n) and that its image has
-    identical boundary sets in the two graphs."""
+    identical boundary sets in the two graphs.
+
+    Boundary counts suffice for the match: S_n's edges are a subset of
+    R_n's on the shared indexing, so the S_n boundary is a subset of the R_n
+    boundary, and the two sets are equal exactly when their sizes are.
+    """
     if n > max_n:
         raise ResourceLimitError(f"fall-down check enumerates 2^(n^2) subsets; n={n} exceeds {max_n}")
     sq, tri = _grid_pair(n)
@@ -103,20 +106,22 @@ def falldown_check(n: int, max_n: int = 4) -> FallDownReport:
     match_bad = []
     for mask in range(1 << (n * n)):
         image = _fall_down_mask(n, mask, push_left=True)
-        b_sq = _boundary_mask(sq_adj, image)
-        b_tri = _boundary_mask(tri_adj, image)
+        b_sq = boundary_size_mask(sq_adj, image)
+        b_tri = boundary_size_mask(tri_adj, image)
         if b_sq != b_tri:
-            match_bad.append(_mask_to_set(mask))
-        if b_sq.bit_count() > boundary_size_mask(sq_adj, mask) or \
-                b_tri.bit_count() > boundary_size_mask(tri_adj, mask):
-            mono_bad.append(_mask_to_set(mask))
-    return FallDownReport(n, 1 << (n * n), tuple(mono_bad), tuple(match_bad))
+            match_bad.append(mask)
+        if b_sq > boundary_size_mask(sq_adj, mask) or b_tri > boundary_size_mask(tri_adj, mask):
+            mono_bad.append(mask)
+    return FallDownReport(n, 1 << (n * n),
+                          tuple(frozenset(mask_vertices(m)) for m in mono_bad),
+                          tuple(frozenset(mask_vertices(m)) for m in match_bad))
 
 
 def falldown_mismatches(n: int, direction: str = "down-right",
                         max_n: int = 4) -> Iterator[tuple]:
     """Yield (s, image, boundary_in_Sn, boundary_in_Rn) for every subset whose
-    transformed image has different boundary sets in S_n and R_n."""
+    transformed image has different boundary sets in S_n and R_n.  Compares
+    boundary counts (see falldown_check); sets are built only for the yield."""
     if direction not in ("down-left", "down-right"):
         raise ValueError(f"unknown fall-down direction {direction!r}")
     if n > max_n:
@@ -126,11 +131,9 @@ def falldown_mismatches(n: int, direction: str = "down-right",
     push_left = direction == "down-left"
     for mask in range(1 << (n * n)):
         image = _fall_down_mask(n, mask, push_left=push_left)
-        b_sq = _boundary_mask(sq_adj, image)
-        b_tri = _boundary_mask(tri_adj, image)
-        if b_sq != b_tri:
-            yield (_mask_to_set(mask), _mask_to_set(image),
-                   _mask_to_set(b_sq), _mask_to_set(b_tri))
+        if boundary_size_mask(sq_adj, image) != boundary_size_mask(tri_adj, image):
+            image_set = frozenset(mask_vertices(image))
+            yield (frozenset(mask_vertices(mask)), image_set, *boundary_in_both(n, image_set))
 
 
 def falldown_counterexample_search(n: int, direction: str = "down-right",
@@ -140,14 +143,13 @@ def falldown_counterexample_search(n: int, direction: str = "down-right",
     Down-left finds nothing (the boundary-match lemma holds); down-right has
     witnesses from n = 4 on.
     """
-    for s, _image, _bs, _br in falldown_mismatches(n, direction, max_n):
-        return s
-    return None
+    return next((s for s, *_ in falldown_mismatches(n, direction, max_n)), None)
 
 
 @dataclass(frozen=True)
 class IsoProfile:
-    """Exact minimum boundary size per subset cardinality, with witnesses."""
+    """Exact minimum boundary size per subset cardinality, with witnesses;
+    witness[s] is the lexicographically smallest sorted minimizer of size s."""
 
     size_lo: int
     size_hi: int
@@ -157,22 +159,33 @@ class IsoProfile:
 
 def iso_profile(g: Graph, size_lo: int, size_hi: int, max_vertices: int = 20) -> IsoProfile:
     """Minimum |boundary(S)| over all S of each cardinality in [size_lo, size_hi],
-    by full subset enumeration."""
+    by full subset enumeration: the one enumeration cheeger_constant reduces over.
+
+    Witnesses stay masks until the end.  Of two equal-size masks A and B, A is
+    the lexicographically smaller sorted subset exactly when the lowest bit of
+    A ^ B is in A, so the witness does not depend on the enumeration order.
+    """
     if g.n > max_vertices:
         raise ResourceLimitError(f"profile enumerates 2^|V| subsets; |V|={g.n} exceeds {max_vertices}")
     if not (0 <= size_lo <= size_hi <= g.n):
         raise ValueError("size range must satisfy 0 <= lo <= hi <= |V|")
     adj = g.neighbor_masks
     best: dict = {}
-    witness: dict = {}
+    witness_mask: dict = {}
     for mask in range(1 << g.n):
         s = mask.bit_count()
         if s < size_lo or s > size_hi:
             continue
         b = boundary_size_mask(adj, mask)
-        if s not in best or b < best[s]:
+        cur = best.get(s)
+        if cur is None or b < cur:
             best[s] = b
-            witness[s] = _mask_to_set(mask)
+            witness_mask[s] = mask
+        elif b == cur:
+            diff = mask ^ witness_mask[s]
+            if mask & diff & -diff:
+                witness_mask[s] = mask
+    witness = {s: frozenset(mask_vertices(m)) for s, m in witness_mask.items()}
     return IsoProfile(size_lo, size_hi, best, witness)
 
 
@@ -252,30 +265,3 @@ def conjecture_report(n: int, max_n: int = 5) -> ConjectureReport:
         window_min_boundary=profile.min_boundary[window_size],
     )
 
-
-def _boundary_mask(adj_masks, s_mask: int) -> int:
-    out = 0
-    m = s_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if adj_masks[v] & ~s_mask:
-            out |= 1 << v
-    return out
-
-
-def _subset_mask(n: int, s) -> int:
-    mask = 0
-    for v in s:
-        if not (0 <= v < n * n):
-            raise ValueError(f"vertex {v} outside the {n}x{n} grid")
-        mask |= 1 << v
-    return mask
-
-
-def _mask_to_set(mask: int) -> frozenset:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return frozenset(out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dynamics import STAY, Trace, run, step_cleared_mask
-from .graphs import Graph, boundary, has_odd_cycle
+from .graphs import Graph, boundary, has_odd_cycle, is_connected, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,17 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
     caffeinated lions on connected graphs with an odd cycle), so "canonical"
     uses all lions on vertex 0; caffeinated motion on a bipartite graph
     conserves the two-coloring split up to global flips, so there one start
-    per parity class of the position vector is searched.
+    per parity class of the position vector is searched.  Canonical starts
+    are refused on a disconnected graph, where they are not sound, and for
+    k >= 1 on the empty graph, which has no vertex to place lions on.
     """
     if starts == "canonical":
+        if not is_connected(g):
+            raise ValueError("canonical starts need a connected graph; give explicit starts")
         if k == 0:
             return [()]
+        if g.n == 0:
+            raise ValueError(f"the empty graph has no vertex to place {k} lions on")
         if model == "caffeinated" and not has_odd_cycle(g):
             nbr = min(g.adj[0]) if g.adj[0] else None
             if nbr is None:
@@ -94,7 +100,7 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
 
     Returns Cleared with a witness trace, Impossible after exhausting the
     reachable deduplicated state space, or Unknown when a limit is hit
-    (never misreported as Impossible).
+    (never misreported as Impossible).  Raises ValueError on unsound starts.
     """
     if k < 0:
         raise ValueError("lion count must be >= 0")
@@ -152,9 +158,7 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         return run(g, model, start_positions, steps)
 
     for spos in start_list:
-        cl0 = 0
-        for p in spos:
-            cl0 |= 1 << p
+        cl0 = vertex_mask(spos, g.n)
         key = (spos, cl0)
         if cl0 == full:
             return SearchVerdict("cleared", run(g, model, spos, []), 1, 1)

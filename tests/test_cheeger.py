@@ -11,14 +11,16 @@ from lionsweep.graphs import (boundary, build_circulant, build_square_grid,
 
 
 def cheeger_oracle(g):
-    """Independent brute force over itertools.combinations, all subset sizes."""
+    """Independent brute force over itertools.combinations, all subset sizes.
+
+    Returns the value and the lexicographically smallest sorted witness.
+    """
     best = None
     for size in range(1, g.n):
         for combo in itertools.combinations(range(g.n), size):
-            s = frozenset(combo)
-            ratio = Fraction(len(boundary(g, s)), min(size, g.n - size))
-            if best is None or ratio < best:
-                best = ratio
+            ratio = Fraction(len(boundary(g, frozenset(combo))), min(size, g.n - size))
+            if best is None or (ratio, combo) < best:
+                best = (ratio, combo)
     return best
 
 
@@ -44,7 +46,8 @@ def test_matches_independent_oracle_on_corpus(rng):
               build_tri_lattice(2, 3), build_triangle(3)]
     corpus += [random_connected_graph(rng, 3, 8) for _ in range(8)]
     for g in corpus:
-        assert cheeger_constant(g).value == cheeger_oracle(g)
+        res = cheeger_constant(g)
+        assert (res.value, tuple(sorted(res.witness))) == cheeger_oracle(g)
 
 
 def test_witness_reproduces_value(rng):

@@ -89,6 +89,26 @@ def test_search_exit_codes(tmp_path, capsys):
                  "--max-states", "2"]) == 20
 
 
+def test_search_disconnected_graph(tmp_path, capsys):
+    path = tmp_path / "two_edges.txt"
+    path.write_text("vertices 4\n0 1\n2 3\n")
+    assert main(["search", str(path), "-k", "2"]) == 2
+    assert main(["search", str(path), "--min"]) == 2
+    capsys.readouterr()
+    assert main(["search", str(path), "-k", "2", "--starts", "0,2"]) == 0
+    assert capsys.readouterr().out.startswith("cleared")
+
+
+@pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
+def test_search_empty_graph(tmp_path, capsys, model):
+    path = tmp_path / "empty.txt"
+    path.write_text("vertices 0\n")
+    assert main(["search", str(path), "--model", model, "-k", "1"]) == 2
+    capsys.readouterr()
+    assert main(["search", str(path), "--model", model, "-k", "0"]) == 0
+    assert capsys.readouterr().out.startswith("cleared")
+
+
 def test_search_env_default(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("LIONSWEEP_MAX_STATES", "3")
     r2 = tmp_path / "r2.txt"

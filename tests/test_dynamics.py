@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from conftest import random_connected_graph
 from lionsweep.dynamics import (STAY, InvalidMoveError, initial_state,
                                 is_monotone, is_swept, read_moves, read_trace, run,
                                 step, validate_moves, write_moves, write_trace)
+from lionsweep.errors import ParseError
 from lionsweep.graphs import boundary, build_tri_lattice, make_graph
 
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
@@ -199,6 +201,22 @@ def test_trace_serialization_round_trip(tmp_path):
     assert back == tr
     first = path.read_text().splitlines()[0]
     assert '"move": null' in first
+
+
+@pytest.mark.parametrize("field, value", [("t", 5), ("lions", [0])])
+def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
+    g = build_tri_lattice(2, 3)
+    tr = run(g, "free", (0, 3), [(1, STAY), (2, 4)])
+    path = tmp_path / "trace.jsonl"
+    write_trace(tr, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec[field] = value  # t no longer follows t=1, or a lion vanished
+    lines[2] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    assert err.value.line == 3
 
 
 def test_moves_serialization_round_trip(tmp_path):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from lionsweep.errors import ParseError
 from lionsweep.graphs import (boundary, build_circulant, build_square_grid,
                               build_tri_lattice, build_triangle, has_odd_cycle,
-                              is_connected, load_graph, make_graph, save_graph)
+                              is_connected, load_graph, make_graph, mask_vertices,
+                              save_graph, vertex_mask)
 
 
 def test_square_grid_counts():
@@ -167,3 +168,18 @@ def test_make_graph_validates():
         make_graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         make_graph(2, [(0, 5)])
+
+
+@given(st.sets(st.integers(0, 39)))
+def test_mask_helpers_round_trip(vertices):
+    mask = vertex_mask(vertices, 40)
+    assert mask.bit_count() == len(vertices)
+    assert mask_vertices(mask) == tuple(sorted(vertices))
+    assert vertex_mask(mask_vertices(mask), 40) == mask
+
+
+def test_vertex_mask_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        vertex_mask([0, 4], 4)
+    with pytest.raises(ValueError):
+        vertex_mask([-1], 4)

@@ -95,9 +95,12 @@ def test_iso_profile_matches_combination_oracle():
     g = build_triangle(3)  # 6 vertices
     prof = iso_profile(g, 0, 6)
     for size in range(7):
-        best = min(len(boundary(g, frozenset(c)))
-                   for c in itertools.combinations(range(6), size))
+        combos = list(itertools.combinations(range(6), size))  # lexicographic order
+        sizes = [len(boundary(g, frozenset(c))) for c in combos]
+        best = min(sizes)
         assert prof.min_boundary[size] == best
+        # the witness is the first minimal tuple, i.e. the lexicographically smallest
+        assert tuple(sorted(prof.witness[size])) == combos[sizes.index(best)]
 
 
 def test_iso_profile_limit():

@@ -142,6 +142,16 @@ def test_verify_lemma_bounds_flags_corrupted_trace():
     assert any(lemma == "growth-bound" for _, lemma, _ in report.violations)
 
 
+def test_canonical_starts_rejected_on_disconnected_graph():
+    two_edges = make_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError):
+        can_clear(two_edges, 2)
+    with pytest.raises(ValueError):
+        min_lions(two_edges, "free", 4)
+    # explicit starts are still searched: one lion per component clears it
+    assert can_clear(two_edges, 2, starts=[(0, 2)]).status == "cleared"
+
+
 def test_limits_validation():
     with pytest.raises(ValueError):
         SearchLimits(max_states=0)
