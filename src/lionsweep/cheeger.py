@@ -21,7 +21,7 @@ class CheegerResult:
     witness: frozenset
 
 
-def cheeger_constant(g: Graph, max_vertices: int = 20) -> CheegerResult:
+def cheeger_constant(g: Graph) -> CheegerResult:
     """Exact minimum over all nonempty proper subsets, as the minimum over
     sizes s of profile[s] / min(s, |V| - s) on the isoperimetric profile.
 
@@ -32,7 +32,7 @@ def cheeger_constant(g: Graph, max_vertices: int = 20) -> CheegerResult:
     """
     if g.n < 2:
         raise ValueError("the Cheeger constant needs at least 2 vertices")
-    profile = iso_profile(g, 1, g.n - 1, max_vertices)
+    profile = iso_profile(g, 1, g.n - 1)
     value, witness = min((Fraction(profile.min_boundary[s], min(s, g.n - s)),
                           sorted(profile.witness[s])) for s in range(1, g.n))
     return CheegerResult(value, frozenset(witness))

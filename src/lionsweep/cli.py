@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 success/cleared, 10 negative result
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from math import ceil
 
@@ -21,11 +20,6 @@ EXIT_NEGATIVE = 10
 EXIT_UNKNOWN = 20
 EXIT_CONJECTURE_VIOLATION = 30
 EXIT_RESOURCE = 40
-
-
-def _default_max_states() -> int:
-    env = os.environ.get("LIONSWEEP_MAX_STATES")
-    return int(env) if env else search.SearchLimits().max_states
 
 
 def _parse_ints(text: str) -> tuple:
@@ -93,7 +87,7 @@ def cmd_strategy(args) -> int:
 def cmd_verify(args) -> int:
     g = graphs.load_graph(args.graph)
     trace = dynamics.read_trace(args.trace)
-    report = search.verify_lemma_bounds(g, trace, args.k)
+    report = search.verify_lemma_bounds(g, trace)
     if report.ok:
         print(f"0 violations over {report.steps_checked} steps")
         return EXIT_OK
@@ -104,7 +98,7 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     g = graphs.load_graph(args.graph)
-    limits = search.SearchLimits(args.max_states, args.max_depth, not args.no_dominance)
+    limits = search.SearchLimits(args.max_states, not args.no_dominance)
     starts = _parse_ints(args.starts) if args.starts else "canonical"
     if args.min:
         result = search.min_lions(g, args.model, args.kmax, limits)
@@ -133,7 +127,7 @@ def cmd_search(args) -> int:
 
 def cmd_cheeger(args) -> int:
     g = graphs.load_graph(args.graph)
-    result = cheeger_mod.cheeger_constant(g, args.max_vertices)
+    result = cheeger_mod.cheeger_constant(g)
     gval = result.value
     polite = cheeger_mod.polite_lion_bound(gval, g.n)
     free = cheeger_mod.lion_bound(gval, g.n)
@@ -214,10 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_strategy)
 
-    p = sub.add_parser("verify", help="check the growth lemmas on a trace")
+    p = sub.add_parser("verify", help="replay a trace and check the growth lemmas on it")
     p.add_argument("graph")
     p.add_argument("--trace", required=True)
-    p.add_argument("-k", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive sweepability search")
@@ -226,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int)
     p.add_argument("--min", action="store_true")
     p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--max-states", type=int, default=_default_max_states())
-    p.add_argument("--max-depth", type=int, default=search.SearchLimits().max_depth)
+    p.add_argument("--max-states", type=int, default=search.SearchLimits().max_states)
     p.add_argument("--no-dominance", action="store_true")
     p.add_argument("--starts", help="comma-separated start vertices")
     p.add_argument("--witness-out")
@@ -235,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cheeger", help="exact Cheeger constant and lion bounds")
     p.add_argument("graph")
-    p.add_argument("--max-vertices", type=int, default=20)
     p.set_defaults(func=cmd_cheeger)
 
     p = sub.add_parser("isoperimetry", help="fall-down checks and boundary profiles")

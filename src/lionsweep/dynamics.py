@@ -25,7 +25,6 @@ STAY = -1
 MODELS = ("free", "caffeinated", "polite")
 
 MoveStep = tuple  # one entry per lion: STAY or the target vertex
-LionPositions = tuple
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,12 @@ def step_cleared_mask(adj_masks, positions, targets, cleared: int) -> int:
     """Bitmask core of the update rule, shared with the exhaustive search.
 
     positions/targets are parallel sequences; a target equal to the position
-    (or STAY) means the lion stays put.
+    means the lion stays put.
     """
     occ = 0
     blocked = set()
     for p, t in zip(positions, targets):
-        if t == STAY or t == p:
+        if t == p:
             occ |= 1 << p
         else:
             occ |= 1 << t
@@ -169,14 +168,9 @@ def run(g: Graph, model: str, lions: Sequence, moves: Iterable,
     return Trace(tuple(states), tuple(applied))
 
 
-def is_swept(tr: Trace, g) -> Optional[int]:
-    """Smallest t with C(t) = V, or None.  g may be a Graph or a vertex count
-    (traces do not embed the graph they were produced on)."""
-    num_vertices = g.n if isinstance(g, Graph) else int(g)
-    for s in tr.states:
-        if len(s.cleared) == num_vertices:
-            return s.time
-    return None
+def is_swept(tr: Trace, g: Graph) -> Optional[int]:
+    """Smallest t with C(t) = V, or None."""
+    return next((s.time for s in tr.states if len(s.cleared) == g.n), None)
 
 
 def is_monotone(tr: Trace) -> bool:

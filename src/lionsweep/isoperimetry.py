@@ -16,6 +16,15 @@ from .errors import ResourceLimitError
 from .graphs import (Graph, boundary, boundary_size_mask, build_square_grid,
                      build_tri_lattice, build_triangle, mask_vertices, vertex_mask)
 
+SUBSET_BUDGET_BITS = 20  # every exhaustive enumeration visits at most 2^20 subsets
+
+
+def _check_budget(what: str, bits: int) -> None:
+    """Refuse an enumeration of 2^bits subsets over the budget, before it starts."""
+    if bits > SUBSET_BUDGET_BITS:
+        raise ResourceLimitError(f"{what} enumerates 2^{bits} subsets, "
+                                 f"over the budget of 2^{SUBSET_BUDGET_BITS}")
+
 
 def triangular(n: int) -> int:
     """The n-th triangular number n(n+1)/2."""
@@ -89,7 +98,7 @@ class FallDownReport:
         return not self.monotone_violations and not self.boundary_match_violations
 
 
-def falldown_check(n: int, max_n: int = 4) -> FallDownReport:
+def falldown_check(n: int) -> FallDownReport:
     """Check, over all 2^(n^2) subsets, that the down-left fall-down never
     increases the boundary count (in S_n nor in R_n) and that its image has
     identical boundary sets in the two graphs.
@@ -98,8 +107,7 @@ def falldown_check(n: int, max_n: int = 4) -> FallDownReport:
     R_n's on the shared indexing, so the S_n boundary is a subset of the R_n
     boundary, and the two sets are equal exactly when their sizes are.
     """
-    if n > max_n:
-        raise ResourceLimitError(f"fall-down check enumerates 2^(n^2) subsets; n={n} exceeds {max_n}")
+    _check_budget("fall-down check", n * n)
     sq, tri = _grid_pair(n)
     sq_adj, tri_adj = sq.neighbor_masks, tri.neighbor_masks
     mono_bad = []
@@ -117,15 +125,13 @@ def falldown_check(n: int, max_n: int = 4) -> FallDownReport:
                           tuple(frozenset(mask_vertices(m)) for m in match_bad))
 
 
-def falldown_mismatches(n: int, direction: str = "down-right",
-                        max_n: int = 4) -> Iterator[tuple]:
+def falldown_mismatches(n: int, direction: str = "down-right") -> Iterator[tuple]:
     """Yield (s, image, boundary_in_Sn, boundary_in_Rn) for every subset whose
     transformed image has different boundary sets in S_n and R_n.  Compares
     boundary counts (see falldown_check); sets are built only for the yield."""
     if direction not in ("down-left", "down-right"):
         raise ValueError(f"unknown fall-down direction {direction!r}")
-    if n > max_n:
-        raise ResourceLimitError(f"fall-down scan enumerates 2^(n^2) subsets; n={n} exceeds {max_n}")
+    _check_budget("fall-down scan", n * n)
     sq, tri = _grid_pair(n)
     sq_adj, tri_adj = sq.neighbor_masks, tri.neighbor_masks
     push_left = direction == "down-left"
@@ -136,14 +142,13 @@ def falldown_mismatches(n: int, direction: str = "down-right",
             yield (frozenset(mask_vertices(mask)), image_set, *boundary_in_both(n, image_set))
 
 
-def falldown_counterexample_search(n: int, direction: str = "down-right",
-                                   max_n: int = 4) -> Optional[frozenset]:
+def falldown_counterexample_search(n: int, direction: str = "down-right") -> Optional[frozenset]:
     """First subset whose transformed image tells S_n and R_n apart, or None.
 
     Down-left finds nothing (the boundary-match lemma holds); down-right has
     witnesses from n = 4 on.
     """
-    return next((s for s, *_ in falldown_mismatches(n, direction, max_n)), None)
+    return next((s for s, *_ in falldown_mismatches(n, direction)), None)
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,7 @@ class IsoProfile:
     witness: dict
 
 
-def iso_profile(g: Graph, size_lo: int, size_hi: int, max_vertices: int = 20) -> IsoProfile:
+def iso_profile(g: Graph, size_lo: int, size_hi: int) -> IsoProfile:
     """Minimum |boundary(S)| over all S of each cardinality in [size_lo, size_hi],
     by full subset enumeration: the one enumeration cheeger_constant reduces over.
 
@@ -165,8 +170,7 @@ def iso_profile(g: Graph, size_lo: int, size_hi: int, max_vertices: int = 20) ->
     the lexicographically smaller sorted subset exactly when the lowest bit of
     A ^ B is in A, so the witness does not depend on the enumeration order.
     """
-    if g.n > max_vertices:
-        raise ResourceLimitError(f"profile enumerates 2^|V| subsets; |V|={g.n} exceeds {max_vertices}")
+    _check_budget("profile", g.n)
     if not (0 <= size_lo <= size_hi <= g.n):
         raise ValueError("size range must satisfy 0 <= lo <= hi <= |V|")
     adj = g.neighbor_masks
@@ -238,13 +242,12 @@ class ConjectureReport:
         return "\n".join(lines) + "\n"
 
 
-def conjecture_report(n: int, max_n: int = 5) -> ConjectureReport:
+def conjecture_report(n: int) -> ConjectureReport:
     """Exhaustively compare min |boundary| on P_n against the packings for
     every cardinality, and evaluate the conjectured thresholds."""
-    if n > max_n:
-        raise ResourceLimitError(f"conjecture report enumerates 2^T_n subsets; n={n} exceeds {max_n}")
     if n < 1:
         raise ValueError("conjecture report needs n >= 1")
+    _check_budget("conjecture report", triangular(n))
     tri = build_triangle(n)
     total = triangular(n)
     profile = iso_profile(tri, 0, total)

@@ -13,19 +13,20 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .dynamics import STAY, Trace, run, step_cleared_mask
-from .graphs import Graph, boundary, has_odd_cycle, is_connected, vertex_mask
+from . import dynamics
+from .dynamics import STAY, Trace, initial_state, run, step_cleared_mask
+from .graphs import (Graph, boundary_size_mask, has_odd_cycle, is_connected, mask_vertices,
+                     vertex_mask)
 
 
 @dataclass(frozen=True)
 class SearchLimits:
-    max_states: int = 1_000_000
-    max_depth: int = 10_000
+    max_states: int = 1_000_000  # bounds the depth too: d + 1 states lead to depth d
     dominance_pruning: bool = True
 
     def __post_init__(self):
-        if self.max_states < 1 or self.max_depth < 1:
-            raise ValueError("search limits must be positive")
+        if self.max_states < 1:
+            raise ValueError("the state limit must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,13 +138,14 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         explored += 1
         return True
 
-    def witness(key, start_positions) -> Trace:
+    def witness(key) -> Trace:
         hops = []
         while parents[key][0] is not None:
             parent_key, targets = parents[key]
             hops.append((parent_key[0], targets))
             key = parent_key
         hops.reverse()
+        start_positions = key[0]
         actual = list(start_positions)
         steps = []
         for prev_sorted, targets in hops:
@@ -163,35 +165,24 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         if cl0 == full:
             return SearchVerdict("cleared", run(g, model, spos, []), 1, 1)
         if admit(key, None, None):
-            frontier.append((key, 0))
+            frontier.append(key)
 
     while frontier:
         peak = max(peak, len(frontier))
-        (positions, cleared), depth = frontier.popleft()
-        if depth >= limits.max_depth:
-            return SearchVerdict("unknown", None, explored, peak,
-                                 f"depth limit {limits.max_depth} reached")
+        positions, cleared = frontier.popleft()
         for targets in _move_choices(model, positions, sorted_adj):
             new_cleared = step_cleared_mask(adj_masks, positions, targets, cleared)
             new_key = (tuple(sorted(targets)), new_cleared)
             if new_cleared == full:
                 parents[new_key] = ((positions, cleared), targets)
-                start = _trace_start(parents, new_key)
-                return SearchVerdict("cleared", witness(new_key, start),
-                                     explored + 1, peak)
+                return SearchVerdict("cleared", witness(new_key), explored + 1, peak)
             if explored >= limits.max_states:
                 return SearchVerdict("unknown", None, explored, peak,
                                      f"state limit {limits.max_states} reached")
             if admit(new_key, (positions, cleared), targets):
-                frontier.append((new_key, depth + 1))
+                frontier.append(new_key)
 
     return SearchVerdict("impossible", None, explored, peak)
-
-
-def _trace_start(parents, key):
-    while parents[key][0] is not None:
-        key = parents[key][0]
-    return key[0]
 
 
 @dataclass(frozen=True)
@@ -224,7 +215,7 @@ def min_lions(g: Graph, model: str = "free", k_max: int = 4,
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Per-step check of the two cleared-set growth lemmas on a trace."""
+    """Per-step check of a trace: its replay and the two cleared-set growth lemmas."""
 
     violations: tuple  # (time, lemma, detail)
     steps_checked: int
@@ -234,21 +225,41 @@ class LemmaReport:
         return not self.violations
 
 
-def verify_lemma_bounds(g: Graph, trace: Trace, k: Optional[int] = None) -> LemmaReport:
-    """Check |C(t+1)| - |C(t)| <= k, and that |boundary(C(t))| >= 2k forces
-    |C(t+1)| <= |C(t)|, at every step of the trace.
-
-    Both are proved facts, so a violation indicates an engine bug (or a
-    hand-corrupted trace).
+def verify_lemma_bounds(g: Graph, trace: Trace) -> LemmaReport:
+    """Replay the trace from initial_state (a lion off the graph or a move
+    for another number of lions raises ValueError): the first record whose
+    move is not adjacent, or whose lions or cleared set differ from the
+    replay, is a "replay" violation.  Also
+    check, with k the lion count, |C(t+1)| - |C(t)| <= k and that
+    |boundary(C(t))| >= 2k forces |C(t+1)| <= |C(t)|: proved facts, so a
+    violation means an engine bug or an edited trace.
     """
-    if k is None:
-        k = len(trace.states[0].lions)
-    violations = []
-    for a, b in zip(trace.states, trace.states[1:]):
-        growth = len(b.cleared) - len(a.cleared)
+    states = trace.states
+    start = initial_state(g, states[0].lions)
+    k = len(start.lions)
+    replaying = states[0].cleared == start.cleared
+    violations = [] if replaying else [(states[0].time, "replay", "cleared set is not the lions'")]
+    cleared = vertex_mask(states[0].cleared, g.n)
+    for mv, a, b in zip(trace.moves, states, states[1:]):
+        next_cleared = vertex_mask(b.cleared, g.n)
+        growth = next_cleared.bit_count() - cleared.bit_count()
         if growth > k:
             violations.append((a.time, "growth-bound", f"|C| grew by {growth} > k={k}"))
-        if len(boundary(g, a.cleared)) >= 2 * k and growth > 0:
+        if growth > 0 and boundary_size_mask(g.neighbor_masks, cleared) >= 2 * k:
             violations.append((a.time, "boundary-stall",
                                f"boundary >= 2k={2 * k} yet |C| grew by {growth}"))
-    return LemmaReport(tuple(violations), len(trace.states) - 1)
+        if replaying:  # until the first divergence, record a is the replayed state
+            targets = tuple(p if t == STAY else t for p, t in zip(a.lions, mv))
+            if dynamics.validate_moves(g, "free", a, mv):
+                detail = f"move {list(mv)} is not a step to adjacent vertices"
+            elif targets != b.lions:
+                detail = f"lions {list(b.lions)}, replay gives {list(targets)}"
+            else:  # via the dynamics namespace: per-namespace call counts keep search's apart
+                replayed = dynamics.step_cleared_mask(g.neighbor_masks, a.lions, targets, cleared)
+                detail = "" if replayed == next_cleared else \
+                    f"cleared {sorted(b.cleared)}, replay gives {list(mask_vertices(replayed))}"
+            if detail:
+                violations.append((b.time, "replay", detail))
+                replaying = False
+        cleared = next_cleared
+    return LemmaReport(tuple(violations), len(states) - 1)

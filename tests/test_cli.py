@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from lionsweep.cli import main
@@ -109,15 +111,45 @@ def test_search_empty_graph(tmp_path, capsys, model):
     assert capsys.readouterr().out.startswith("cleared")
 
 
-def test_search_env_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("LIONSWEEP_MAX_STATES", "3")
+def _write_records(path, records):
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+
+def test_verify_rejects_forged_cleared_set(tmp_path, capsys):
     r2 = tmp_path / "r2.txt"
     main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
-    from lionsweep import cli
+    trace = tmp_path / "forged.jsonl"
+    # lion 0 -> 1 leaves vertex 0 open to vertex 2: the true cleared set is {1}
+    _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
+                           {"t": 1, "lions": [1], "cleared": [0, 1], "move": [1]}])
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 10
+    assert capsys.readouterr().out == "t=1 replay: cleared [0, 1], replay gives [1]\n"
 
-    parser = cli.build_parser()
-    args = parser.parse_args(["search", str(r2), "-k", "2"])
-    assert args.max_states == 3
+
+def test_verify_rejects_lions_off_the_graph(tmp_path, capsys):
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    trace = tmp_path / "forged.jsonl"
+    _write_records(trace, [{"t": 0, "lions": [7], "cleared": [7], "move": None}])
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+    _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
+                           {"t": 1, "lions": [1], "cleared": [1], "move": [1, 2]}])
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2  # a move for two lions
+    _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
+                           {"t": 1, "lions": [3], "cleared": [3], "move": [3]}])
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 10
+    assert "t=1 replay: move [3] is not a step to adjacent vertices" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["search", "-k", "1", "--max-depth", "5"],
+                                  ["cheeger", "--max-vertices", "30"],
+                                  ["verify", "--trace", "t.jsonl", "-k", "1"]])
+def test_removed_options_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as err:
+        main([argv[0], str(tmp_path / "g.txt"), *argv[1:]])
+    assert err.value.code == 2
 
 
 def test_cheeger_output(tmp_path, capsys):

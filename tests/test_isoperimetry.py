@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lionsweep import isoperimetry
+from lionsweep.cheeger import cheeger_constant
 from lionsweep.errors import ResourceLimitError
-from lionsweep.graphs import boundary, build_triangle
+from lionsweep.graphs import boundary, build_tri_lattice, build_triangle
 from lionsweep.isoperimetry import (boundary_in_both, conjecture_report, fall_down,
                                     falldown_check, falldown_counterexample_search,
                                     falldown_mismatches, iso_profile, packing,
@@ -106,6 +108,30 @@ def test_iso_profile_matches_combination_oracle():
 def test_iso_profile_limit():
     with pytest.raises(ResourceLimitError):
         iso_profile(build_triangle(7), 0, 1)  # 28 vertices
+
+
+def test_one_subset_budget_edges(monkeypatch):
+    """Every enumeration may visit 2^20 subsets and no more: |V| <= 20 for the
+    profile and Cheeger, n <= 4 for fall-down (2^16 and 2^25 subsets), n <= 5
+    for the conjecture report (T_5 = 15, T_6 = 21).  Over-budget calls are
+    refused before a single subset is visited."""
+    def visited(*args):
+        raise AssertionError("a subset was enumerated past the budget")
+
+    monkeypatch.setattr(isoperimetry, "boundary_size_mask", visited)
+    with pytest.raises(ResourceLimitError):
+        falldown_check(5)
+    with pytest.raises(ResourceLimitError):
+        next(falldown_mismatches(5))
+    with pytest.raises(ResourceLimitError):
+        conjecture_report(6)
+    r37 = build_tri_lattice(3, 7)  # 21 vertices
+    with pytest.raises(ResourceLimitError):
+        iso_profile(r37, 0, 0)
+    with pytest.raises(ResourceLimitError):
+        cheeger_constant(r37)
+    monkeypatch.undo()
+    assert iso_profile(build_tri_lattice(4, 5), 0, 0).min_boundary == {0: 0}  # 20 vertices
 
 
 def test_packing_examples():

@@ -14,3 +14,13 @@ def test_falldown_direction_demo_prints_a_witness():
     assert proc.returncode == 0, proc.stderr
     assert "witness S (|S|=" in proc.stdout
     assert "boundary of T(S):" in proc.stdout
+
+
+def test_wall_sweep_demo_sweeps():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "wall_sweep_demo.py"),
+                           "-n", "3", "-l", "7"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "swept"  # not "NOT swept"

@@ -1,7 +1,13 @@
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_connected_graph
-from lionsweep.dynamics import SimState, Trace, is_swept, run, validate_moves
+from lionsweep.dynamics import (STAY, SimState, Trace, initial_state, is_swept, run, step,
+                                validate_moves)
 from lionsweep.graphs import (build_circulant, build_square_grid, build_tri_lattice,
                               make_graph)
 from lionsweep.search import (SearchLimits, can_clear, min_lions, verify_lemma_bounds)
@@ -65,8 +71,8 @@ def test_dominance_pruning_does_not_change_verdicts(rng):
 
 
 def test_impossible_is_stable_under_larger_limits():
-    small = SearchLimits(max_states=100_000, max_depth=1_000)
-    big = SearchLimits(max_states=200_000, max_depth=2_000)
+    small = SearchLimits(max_states=100_000)
+    big = SearchLimits(max_states=200_000)
     for g, k in [(R2, 1), (R3, 1), (build_circulant(4, 1), 1)]:
         assert can_clear(g, k, limits=small).status == "impossible"
         assert can_clear(g, k, limits=big).status == "impossible"
@@ -77,11 +83,6 @@ def test_state_limit_returns_unknown():
     assert verdict.status == "unknown"
     result = min_lions(build_square_grid(3), "free", 3, SearchLimits(max_states=10))
     assert result.status == "unknown"
-
-
-def test_depth_limit_returns_unknown():
-    verdict = can_clear(build_square_grid(3), 1, limits=SearchLimits(max_depth=2))
-    assert verdict.status == "unknown"
 
 
 def test_monotone_in_lion_count(rng):
@@ -137,9 +138,44 @@ def test_verify_lemma_bounds_flags_corrupted_trace():
     states = list(tr.states)
     states[1] = SimState(states[1].time, states[1].lions, frozenset(range(R2.n)))
     bad = Trace(tuple(states), tr.moves)
-    report = verify_lemma_bounds(R2, bad, k=2)
+    report = verify_lemma_bounds(R2, bad)
     assert not report.ok
     assert any(lemma == "growth-bound" for _, lemma, _ in report.violations)
+
+
+def _replace_state(trace, t, **fields):
+    states = list(trace.states)
+    states[t] = replace(states[t], **fields)
+    return Trace(tuple(states), trace.moves)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_verify_replay_reports_the_forged_record(seed, flip_lion):
+    """A clean run trace replays with no violation; one flipped cleared vertex
+    or lion position at a random t is a replay violation at that t."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, 2, 9)
+    lions = tuple(rng.randrange(g.n) for _ in range(rng.randint(1, 3)))
+    state = initial_state(g, lions)
+    moves = []
+    for _ in range(rng.randint(1, 8)):
+        moves.append(tuple(rng.choice([STAY] + sorted(g.adj[p])) for p in state.lions))
+        state = step(g, state, moves[-1])
+    tr = run(g, "free", lions, moves)
+    assert verify_lemma_bounds(g, tr).violations == ()
+    if flip_lion:
+        # from t = 1 on: the t = 0 record is the start the replay begins from
+        t = rng.randint(1, len(moves))
+        moved = list(tr.states[t].lions)
+        i = rng.randrange(len(moved))
+        moved[i] = rng.choice([v for v in range(g.n) if v != moved[i]])
+        forged = _replace_state(tr, t, lions=tuple(moved))
+    else:
+        t = rng.randint(0, len(moves))
+        forged = _replace_state(tr, t, cleared=tr.states[t].cleared ^ {rng.randrange(g.n)})
+    report = verify_lemma_bounds(g, forged)
+    assert [vt for vt, lemma, _ in report.violations if lemma == "replay"] == [t]
 
 
 def test_canonical_starts_rejected_on_disconnected_graph():
