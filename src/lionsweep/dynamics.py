@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
@@ -195,8 +196,9 @@ def write_trace(tr: Trace, path) -> None:
 
 
 def read_trace(path) -> Trace:
-    """Read a write_trace file; t must rise by one per record and the lion
-    count must not change."""
+    """Read a write_trace file; lions, cleared and move must be lists of
+    integers, t must rise by one per record and the lion count must not
+    change."""
     states = []
     moves = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -206,21 +208,29 @@ def read_trace(path) -> Trace:
                 continue
             try:
                 rec = json.loads(line)
-                state = SimState(rec["t"], tuple(rec["lions"]), frozenset(rec["cleared"]))
-                move = rec["move"]
+                t, lions, cleared, move = rec["t"], rec["lions"], rec["cleared"], rec["move"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ParseError(f"bad trace record: {exc}", lineno) from None
-            if not isinstance(state.time, int) or states and state.time != states[-1].time + 1:
-                raise ParseError(f"trace record t={state.time!r} does not follow the last", lineno)
-            if states and len(state.lions) != len(states[0].lions):
-                raise ParseError(f"trace record has {len(state.lions)} lions, "
+            if not (_is_int_list(lions) and _is_int_list(cleared)
+                    and (move is None or _is_int_list(move))):
+                raise ParseError("trace record lions, cleared and move must be lists of integers",
+                                 lineno)
+            if not isinstance(t, int) or states and t != states[-1].time + 1:
+                raise ParseError(f"trace record t={t!r} does not follow the last", lineno)
+            if states and len(lions) != len(states[0].lions):
+                raise ParseError(f"trace record has {len(lions)} lions, "
                                  f"the first record has {len(states[0].lions)}", lineno)
-            states.append(state)
+            states.append(SimState(t, tuple(lions), frozenset(cleared)))
             if move is not None:
                 moves.append(tuple(move))
     if len(states) != len(moves) + 1:
         raise ParseError("trace must be an initial state plus move/state pairs", 1)
     return Trace(tuple(states), tuple(moves))
+
+
+def _is_int_list(value) -> bool:
+    """True iff value is a list of integers (map keeps the scan in C: traces are long)."""
+    return isinstance(value, list) and all(map(isinstance, value, repeat(int)))
 
 
 def write_moves(moves: Iterable, path) -> None:
@@ -241,7 +251,7 @@ def read_moves(path) -> list:
                 mv = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"bad move line: {exc}", lineno) from None
-            if not isinstance(mv, list) or not all(isinstance(x, int) for x in mv):
+            if not _is_int_list(mv):
                 raise ParseError("move line must be a JSON list of integers", lineno)
             out.append(tuple(mv))
     return out

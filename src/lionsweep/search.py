@@ -112,14 +112,11 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
 
     start_list = _start_tuples(g, k, model, starts)
     visited: dict = {}
-    plain_seen: set = set()
-    parents: dict = {}
+    parents: dict = {}  # every admitted state, so len(parents) counts them
     frontier: deque = deque()
-    explored = 0
     peak = 0
 
     def admit(key, parent_key, targets) -> bool:
-        nonlocal explored
         pos, cl = key
         if limits.dominance_pruning:
             lst = visited.get(pos)
@@ -130,12 +127,9 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
                     if cl | m == m:  # cl subset of an explored cleared set
                         return False
                 visited[pos] = [m for m in lst if m | cl != cl] + [cl]
-        else:
-            if key in plain_seen:
-                return False
-            plain_seen.add(key)
+        elif key in parents:
+            return False
         parents[key] = (parent_key, targets)
-        explored += 1
         return True
 
     def witness(key) -> Trace:
@@ -175,14 +169,14 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
             new_key = (tuple(sorted(targets)), new_cleared)
             if new_cleared == full:
                 parents[new_key] = ((positions, cleared), targets)
-                return SearchVerdict("cleared", witness(new_key), explored + 1, peak)
-            if explored >= limits.max_states:
-                return SearchVerdict("unknown", None, explored, peak,
+                return SearchVerdict("cleared", witness(new_key), len(parents), peak)
+            if len(parents) >= limits.max_states:
+                return SearchVerdict("unknown", None, len(parents), peak,
                                      f"state limit {limits.max_states} reached")
             if admit(new_key, (positions, cleared), targets):
                 frontier.append(new_key)
 
-    return SearchVerdict("impossible", None, explored, peak)
+    return SearchVerdict("impossible", None, len(parents), peak)
 
 
 @dataclass(frozen=True)

@@ -29,35 +29,17 @@ class MovePlan:
     formation_steps: int
 
 
-def _bfs_path(g: Graph, u: int, v: int) -> list:
-    """One shortest path from u to v (vertex list), or raise if unreachable."""
-    if u == v:
-        return [u]
-    parent = {u: None}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for y in sorted(g.adj[x]):
-            if y not in parent:
-                parent[y] = x
-                if y == v:
-                    path = [v]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                queue.append(y)
-    raise ValueError(f"vertex {v} unreachable from {u}")
-
-
 def parity_distances(g: Graph, u: int):
     """Shortest even- and odd-length walk distances from u to every vertex.
 
     Returns (dist, parent) where dist[p][v] is the least length of a u-v walk
-    of parity p (None if no such walk), and parent maps (v, p) to the
-    predecessor pair on one shortest walk.
+    of parity p (None if no such walk) and parent[p][v] is the vertex before
+    v on one such shortest walk, reached by a walk of parity p ^ 1 (None for
+    the empty walk at u and where dist[p][v] is None).  Neighbors are visited
+    in sorted order, so the walks are deterministic.
     """
     dist = [[None] * g.n, [None] * g.n]
-    parent = {}
+    parent = [[None] * g.n, [None] * g.n]
     dist[0][u] = 0
     queue = deque([(u, 0)])
     while queue:
@@ -66,9 +48,36 @@ def parity_distances(g: Graph, u: int):
         for w in sorted(g.adj[v]):
             if dist[q][w] is None:
                 dist[q][w] = dist[p][v] + 1
-                parent[(w, q)] = (v, p)
+                parent[q][w] = v
                 queue.append((w, q))
     return dist, parent
+
+
+def _read_walk(g: Graph, parent, v: int, m: int) -> list:
+    """The length-m walk to v off a parity_distances parent table: the
+    shortest walk of m's parity, after bounces between its start u and u's
+    smallest neighbor.  The caller checks that that walk exists and is no
+    longer than m.
+    """
+    walk = [v]
+    p = m % 2
+    while parent[p][v] is not None:
+        v = parent[p][v]
+        p ^= 1
+        walk.append(v)
+    pad = (m + 1 - len(walk)) // 2
+    if pad:
+        if not g.adj[v]:
+            raise InfeasibleWalkError(f"vertex {v} has no neighbors to pad a walk with")
+        walk += [min(g.adj[v]), v] * pad
+    walk.reverse()
+    return walk
+
+
+def _shortest_walk(g: Graph, u: int, v: int) -> list:
+    """One shortest u-v walk (vertex list); v must be reachable from u."""
+    dist, parent = parity_distances(g, u)
+    return _read_walk(g, parent, v, min(d for d in (dist[0][v], dist[1][v]) if d is not None))
 
 
 def exact_length_walk(g: Graph, u: int, v: int, m: int) -> Walk:
@@ -100,19 +109,7 @@ def exact_length_walk(g: Graph, u: int, v: int, m: int) -> Walk:
             raise WalkTooShortError(f"shortest {u}-{v} walk has length {shortest}")
         raise WalkParityError(
             f"shortest {u}-{v} walk of parity {p} has length {d_same}, but {m} was requested")
-
-    walk = [(v, p)]
-    while walk[-1] != (u, 0):
-        walk.append(parent[walk[-1]])
-    base = [x for x, _ in reversed(walk)]
-
-    pad = (m - d_same) // 2
-    if pad:
-        if not g.adj[u]:
-            raise InfeasibleWalkError(f"vertex {u} has no neighbors to pad a walk with")
-        w = min(g.adj[u])
-        base = [u, w] * pad + base
-    return tuple(base)
+    return tuple(_read_walk(g, parent, v, m))
 
 
 def simultaneous_repositioning(g: Graph, starts: Sequence, targets: Sequence) -> tuple:
@@ -125,31 +122,25 @@ def simultaneous_repositioning(g: Graph, starts: Sequence, targets: Sequence) ->
     """
     if len(starts) != len(targets):
         raise ValueError("starts and targets must pair up")
-    k = len(starts)
-    if k == 0:
+    for x in (*starts, *targets):
+        if not (0 <= x < g.n):
+            raise ValueError(f"vertex {x} not in graph")
+    if not starts:
         return ()
-    dists = []
+    ends, parents = [], []
     for s, t in zip(starts, targets):
-        dist, _ = parity_distances(g, s)
-        dists.append((dist[0][t], dist[1][t]))
+        dist, parent = parity_distances(g, s)
         if dist[0][t] is None and dist[1][t] is None:
             raise ValueError(f"target {t} unreachable from {s}")
-
-    def feasible(i: int, m: int) -> bool:
-        d = dists[i][m % 2]
-        return d is not None and d <= m
-
-    m = max(min(d for d in pair if d is not None) for pair in dists)
-    if m == 0:
-        m = 2
-    cap = max(max(d for d in pair if d is not None) for pair in dists) + 2
-    while m <= cap and not all(feasible(i, m) for i in range(k)):
-        m += 1
-    if not all(feasible(i, m) for i in range(k)):
+        ends.append((dist[0][t], dist[1][t]))
+        parents.append(parent)
+    # dist[p][t] has parity p, so the least common length of parity p is the largest
+    lengths = [max(d) for d in zip(*ends) if None not in d]
+    if not lengths:
         raise WalkParityError("lions require walks of conflicting parities")
-
-    walks = [exact_length_walk(g, s, t, m) for s, t in zip(starts, targets)]
-    return tuple(tuple(w[j + 1] for w in walks) for j in range(m))
+    m = min(lengths) or 2
+    walks = [_read_walk(g, parent, t, m) for parent, t in zip(parents, targets)]
+    return tuple(zip(*(w[1:] for w in walks)))
 
 
 def column_positions(n: int, l: int) -> tuple:
@@ -177,7 +168,7 @@ def row_sweep_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     pos = list(starts)
     for i in range(n):
         target = g.vertex_at(i + 1, 1)
-        for nxt in _bfs_path(g, pos[i], target)[1:]:
+        for nxt in _shortest_walk(g, pos[i], target)[1:]:
             mv = [STAY] * n
             mv[i] = nxt
             moves.append(tuple(mv))
@@ -253,11 +244,7 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     if n == 1:
         if l == 1:
             return MovePlan((), 0)
-        target = g.vertex_at(1, 1)
-        dist, _ = parity_distances(g, starts[0])
-        d = min(x for x in (dist[0][target], dist[1][target]) if x is not None)
-        walk = exact_length_walk(g, starts[0], target, d)
-        moves = [(x,) for x in walk[1:]]
+        moves = [(x,) for x in _shortest_walk(g, starts[0], g.vertex_at(1, 1))[1:]]
         formation_steps = len(moves)
         moves.extend((g.vertex_at(1, c + 1),) for c in range(1, l))
         return MovePlan(tuple(moves), formation_steps)

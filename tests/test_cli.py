@@ -143,6 +143,17 @@ def test_verify_rejects_lions_off_the_graph(tmp_path, capsys):
     assert "t=1 replay: move [3] is not a step to adjacent vertices" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("record", [{"t": 0, "lions": [0], "cleared": [0], "move": 5},
+                                    {"t": 0, "lions": ["a"], "cleared": [0], "move": None},
+                                    {"t": 0, "lions": [0], "cleared": ["x"], "move": None}])
+def test_verify_rejects_records_that_are_not_integer_lists(tmp_path, capsys, record):
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    trace = tmp_path / "bad.jsonl"
+    _write_records(trace, [record])
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+
+
 @pytest.mark.parametrize("argv", [["search", "-k", "1", "--max-depth", "5"],
                                   ["cheeger", "--max-vertices", "30"],
                                   ["verify", "--trace", "t.jsonl", "-k", "1"]])

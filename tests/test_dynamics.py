@@ -203,7 +203,8 @@ def test_trace_serialization_round_trip(tmp_path):
     assert '"move": null' in first
 
 
-@pytest.mark.parametrize("field, value", [("t", 5), ("lions", [0])])
+@pytest.mark.parametrize("field, value", [("t", 5), ("lions", [0]), ("move", 5),
+                                          ("lions", ["a", 0]), ("cleared", ["x"])])
 def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
     g = build_tri_lattice(2, 3)
     tr = run(g, "free", (0, 3), [(1, STAY), (2, 4)])
@@ -211,7 +212,7 @@ def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
     write_trace(tr, path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
-    rec[field] = value  # t no longer follows t=1, or a lion vanished
+    rec[field] = value  # t no longer follows t=1, a lion vanished, or not integer lists
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:

@@ -6,21 +6,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_falldown_direction_demo_prints_a_witness():
+def run_script(name, *args, timeout=60):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "falldown_direction_demo.py"),
-                           "-n", "4"], capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_falldown_direction_demo_prints_a_witness():
+    proc = run_script("falldown_direction_demo.py", "-n", "4")
     assert proc.returncode == 0, proc.stderr
     assert "witness S (|S|=" in proc.stdout
     assert "boundary of T(S):" in proc.stdout
 
 
 def test_wall_sweep_demo_sweeps():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "wall_sweep_demo.py"),
-                           "-n", "3", "-l", "7"],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_script("wall_sweep_demo.py", "-n", "3", "-l", "7")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "swept"  # not "NOT swept"
+
+
+def test_min_lions_survey_exclusions_sit_below_the_minimum():
+    """The Cheeger exclusion is strictly below the exact free minimum on every row."""
+    proc = run_script("min_lions_survey.py", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[-2:] == ["excl_free", "k*_free"]
+    assert len(rows) == 18
+    for row in rows:
+        excluded, k_free = row.split()[-2:]
+        assert int(excluded) < int(k_free), row  # int() fails on "?(unknown)"

@@ -1,11 +1,16 @@
+import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_connected_graph
+from lionsweep import strategies
 from lionsweep.dynamics import (Trace, initial_state, is_monotone, is_swept,
                                 run, step, validate_moves)
 from lionsweep.errors import WalkParityError, WalkTooShortError
-from lionsweep.graphs import build_square_grid, build_tri_lattice
+from lionsweep.graphs import build_square_grid, build_tri_lattice, make_graph
 from lionsweep.strategies import (caffeinated_wall_moves, column_positions,
                                   exact_length_walk, naive_column_sweep_moves,
                                   parity_distances, row_sweep_moves,
@@ -62,7 +67,6 @@ def test_exact_walk_too_short():
 def test_exact_walk_matches_parity_oracle(rng):
     """Feasibility of (u, v, m) agrees with a BFS parity oracle, including on
     random connected graphs of up to 12 vertices."""
-    from conftest import random_connected_graph
     graphs = [build_tri_lattice(3, 3), build_square_grid(3)]
     graphs += [random_connected_graph(rng, 2, 12) for _ in range(6)]
     for g in graphs:
@@ -116,11 +120,110 @@ def test_repositioning_crossing_paths_arrive_together(rng):
         assert tr.final().lions == targets
 
 
+def random_bipartite_graph(rng):
+    """Random connected bipartite graph: a random tree (two-colored by depth)
+    plus extra edges between the color classes."""
+    n = rng.randint(2, 10)
+    color = [0] * n
+    edges = set()
+    for v in range(1, n):
+        u = rng.randrange(v)
+        color[v] = color[u] ^ 1
+        edges.add((u, v))
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if color[u] != color[v]:
+            edges.add((min(u, v), max(u, v)))
+    return make_graph(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_repositioning_length_is_least_common_walk_length(seed, bipartite):
+    """The plan length is the least m at which the parity oracle gives every
+    lion a walk of length exactly m (2 when no lion has to move); with no
+    such m the lions' parities conflict."""
+    rng = random.Random(seed)
+    g = random_bipartite_graph(rng) if bipartite else random_connected_graph(rng, 2, 10)
+    k = rng.randint(1, 4)
+    starts = tuple(rng.randrange(g.n) for _ in range(k))
+    targets = tuple(rng.randrange(g.n) for _ in range(k))
+    oracles = [bfs_parity_oracle(g, s) for s in starts]
+
+    def all_walk(m):
+        return all(o.get((t, m % 2), m + 1) <= m for o, t in zip(oracles, targets))
+
+    least = next((m for m in range(2 * g.n + 2) if all_walk(m)), None)
+    if least is None:
+        with pytest.raises(WalkParityError):
+            simultaneous_repositioning(g, starts, targets)
+        return
+    steps = simultaneous_repositioning(g, starts, targets)
+    assert len(steps) == (least or 2)
+    assert run(g, "caffeinated", starts, steps).final().lions == targets
+
+
+def test_repositioning_runs_one_bfs_per_lion(monkeypatch):
+    calls = []
+    real = strategies.parity_distances
+
+    def counting(g, u):
+        calls.append(u)
+        return real(g, u)
+
+    monkeypatch.setattr(strategies, "parity_distances", counting)
+    g = build_tri_lattice(3, 4)
+    starts = (0, 5, 11, 7)
+    simultaneous_repositioning(g, starts, wall_positions(3, 4, 2))
+    assert calls == list(starts)
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+def test_repositioning_rejects_vertices_off_the_graph(bad):
+    g = build_tri_lattice(3, 4)  # vertices 0..11
+    with pytest.raises(ValueError, match="not in graph"):
+        simultaneous_repositioning(g, (0, bad), (1, 2))
+    with pytest.raises(ValueError, match="not in graph"):
+        simultaneous_repositioning(g, (0, 1), (bad, 2))
+
+
 def test_repositioning_bipartite_parity_conflict():
     s2 = build_square_grid(2)  # a 4-cycle
     with pytest.raises(WalkParityError):
         # one lion needs an odd walk, the other an even one, forever
         simultaneous_repositioning(s2, (0, 0), (s2.vertex_at(1, 2), 0))
+
+
+# Plans as generated while walks still came from a separate plain BFS, pinned:
+# (n, l, starts, len(moves), formation_steps, formation moves).
+PINNED_ROW_SWEEPS = [
+    (1, 5, (3,), 7, 3, ((2,), (1,), (0,))),
+    (3, 4, (11, 2, 6), 18, 9,
+     ((7, -1, -1), (3, -1, -1), (2, -1, -1), (1, -1, -1), (0, -1, -1), (-1, 1, -1),
+      (-1, 4, -1), (-1, -1, 5), (-1, -1, 8))),
+    (4, 6, (23, 8, 17, 0), 38, 18,
+     ((17, -1, -1, -1), (11, -1, -1, -1), (5, -1, -1, -1), (4, -1, -1, -1), (3, -1, -1, -1),
+      (2, -1, -1, -1), (1, -1, -1, -1), (0, -1, -1, -1), (-1, 7, -1, -1), (-1, 6, -1, -1),
+      (-1, -1, 16, -1), (-1, -1, 15, -1), (-1, -1, 14, -1), (-1, -1, 13, -1),
+      (-1, -1, 12, -1), (-1, -1, -1, 6), (-1, -1, -1, 12), (-1, -1, -1, 18))),
+]
+PINNED_WALLS = [
+    (1, 5, (4,), 8, 4, ((3,), (2,), (1,), (0,))),
+    (3, 4, (11, 0, 7, 5), 12, 4,
+     ((7, 1, 3, 1), (3, 0, 7, 5), (2, 1, 3, 6), (1, 5, 6, 9))),
+    (4, 6, (23, 5, 12, 0, 18, 9), 17, 6,
+     ((17, 4, 6, 1, 12, 3), (11, 5, 12, 0, 18, 9), (5, 4, 6, 1, 12, 3),
+      (4, 5, 12, 2, 13, 9), (3, 4, 7, 8, 14, 14), (2, 3, 8, 14, 15, 20))),
+]
+
+
+@pytest.mark.parametrize("plan_fn, case", [(row_sweep_moves, c) for c in PINNED_ROW_SWEEPS]
+                         + [(caffeinated_wall_moves, c) for c in PINNED_WALLS])
+def test_plans_are_pinned(plan_fn, case):
+    n, l, starts, total, formation_steps, formation = case
+    plan = plan_fn(n, l, starts)
+    assert (len(plan.moves), plan.formation_steps) == (total, formation_steps)
+    assert plan.moves[:formation_steps] == formation
 
 
 def test_row_sweep_requires_n_lions():
