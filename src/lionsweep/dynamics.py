@@ -10,12 +10,27 @@ moves and Blocked the (undirected) edges some lion crossed during the step,
 
 Contamination spreads exactly one hop per step, read off the time-t state;
 a vertex a lion vacates can recontaminate in the same step.
+
+The rule is computed in two parts, which every caller uses back to back or,
+in the search, once per state and once per successor:
+
+    exposure(), per state:  Safe, the cleared vertices with no contaminated
+        neighbor, and the vacancies, the cleared lion positions v whose
+        contaminated neighbors number at least one and at most the lions on v;
+    step_cleared_mask(), per move step, O(k):  Safe | Occ', plus each vacancy
+        whose contaminated neighbors are all targets of lions leaving it.
+
+They give the rule above: a cleared v outside Occ' with a contaminated
+neighbor u survives only if a lion crossed uv, and that lion went from v to
+u, since one going from u to v would put v in Occ'.  Every lion stands on a
+cleared vertex in each state reachable from initial_state(), as Occ' is
+cleared; exposure() still skips a lion on a contaminated vertex, which the
+rule never clears unless a lion ends the step there.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
@@ -100,41 +115,59 @@ def step(g: Graph, state: SimState, mv: MoveStep) -> SimState:
                 raise ValueError(f"invalid move: lion {i} from {pos} to non-adjacent {target}")
             new_positions.append(target)
 
-    new_mask = step_cleared_mask(g.neighbor_masks, state.lions, new_positions,
-                                 vertex_mask(state.cleared, g.n))
+    frame = exposure(g.neighbor_masks, state.lions, vertex_mask(state.cleared, g.n))
+    new_mask = step_cleared_mask(frame, new_positions)
     return SimState(state.time + 1, tuple(new_positions), frozenset(mask_vertices(new_mask)))
 
 
-def step_cleared_mask(adj_masks, positions, targets, cleared: int) -> int:
-    """Bitmask core of the update rule, shared with the exhaustive search.
+def exposure(adj_masks, positions, cleared: int) -> tuple:
+    """First part of the update rule, once per state: the frame (safe, vacancies).
 
-    positions/targets are parallel sequences; a target equal to the position
-    means the lion stays put.
+    safe is the mask of cleared vertices with no contaminated neighbor. A
+    vacancy (1 << v, contaminated neighbors of v, indices of the lions on v)
+    is a cleared lion position with contaminated neighbors, no more of them
+    than lions on v: only such a vertex can stay cleared once vacated.
+    positions may be in any order and repeat vertices.
     """
-    occ = 0
-    blocked = set()
-    for p, t in zip(positions, targets):
-        if t == p:
-            occ |= 1 << p
-        else:
-            occ |= 1 << t
-            blocked.add((p, t) if p < t else (t, p))
-    new_cleared = occ
-    pending = cleared & ~occ
-    while pending:
-        v = (pending & -pending).bit_length() - 1
-        pending &= pending - 1
-        contaminated_nbrs = adj_masks[v] & ~cleared
-        safe = True
-        while contaminated_nbrs:
-            u = (contaminated_nbrs & -contaminated_nbrs).bit_length() - 1
-            contaminated_nbrs &= contaminated_nbrs - 1
-            edge = (u, v) if u < v else (v, u)
-            if edge not in blocked:
-                safe = False
-                break
-        if safe:
-            new_cleared |= 1 << v
+    contaminated = ~cleared & ((1 << len(adj_masks)) - 1)
+    safe = cleared
+    if contaminated.bit_count() <= cleared.bit_count():  # walk the smaller side
+        rest = contaminated
+        while rest:
+            low = rest & -rest
+            safe &= ~adj_masks[low.bit_length() - 1]
+            rest ^= low
+    else:
+        rest = cleared
+        while rest:
+            low = rest & -rest
+            if adj_masks[low.bit_length() - 1] & contaminated:
+                safe ^= low
+            rest ^= low
+    lions_at = {}
+    for i, p in enumerate(positions):
+        lions_at.setdefault(p, []).append(i)
+    vacancies = []
+    for p, lions in lions_at.items():
+        exposed = adj_masks[p] & contaminated
+        if exposed and cleared >> p & 1 and exposed.bit_count() <= len(lions):
+            vacancies.append((1 << p, exposed, lions))
+    return safe, vacancies
+
+
+def step_cleared_mask(frame, targets) -> int:
+    """Second part of the update rule, once per move step: the cleared mask
+    after the lions of exposure()'s positions move to targets, aligned with
+    them (a lion that stays has its own position as target)."""
+    new_cleared, vacancies = frame
+    for t in targets:
+        new_cleared |= 1 << t
+    for v_bit, exposed, lions in vacancies:
+        covered = 0
+        for i in lions:
+            covered |= 1 << targets[i]
+        if not exposed & ~covered:
+            new_cleared |= v_bit
     return new_cleared
 
 
@@ -196,9 +229,9 @@ def write_trace(tr: Trace, path) -> None:
 
 
 def read_trace(path) -> Trace:
-    """Read a write_trace file; lions, cleared and move must be lists of
-    integers, t must rise by one per record and the lion count must not
-    change."""
+    """Read a write_trace file; t must be an integer and lions, cleared and
+    move lists of integers (JSON true and false are not), t must rise by one
+    per record and the lion count must not change."""
     states = []
     moves = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -215,7 +248,7 @@ def read_trace(path) -> Trace:
                     and (move is None or _is_int_list(move))):
                 raise ParseError("trace record lions, cleared and move must be lists of integers",
                                  lineno)
-            if not isinstance(t, int) or states and t != states[-1].time + 1:
+            if type(t) is not int or states and t != states[-1].time + 1:
                 raise ParseError(f"trace record t={t!r} does not follow the last", lineno)
             if states and len(lions) != len(states[0].lions):
                 raise ParseError(f"trace record has {len(lions)} lions, "
@@ -229,8 +262,9 @@ def read_trace(path) -> Trace:
 
 
 def _is_int_list(value) -> bool:
-    """True iff value is a list of integers (map keeps the scan in C: traces are long)."""
-    return isinstance(value, list) and all(map(isinstance, value, repeat(int)))
+    """True iff value is a list of integers, not bools (map keeps the scan in C:
+    traces are long)."""
+    return isinstance(value, list) and set(map(type, value)) <= {int}
 
 
 def write_moves(moves: Iterable, path) -> None:

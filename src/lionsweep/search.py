@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import dynamics
-from .dynamics import STAY, Trace, initial_state, run, step_cleared_mask
+from .dynamics import STAY, Trace, exposure, initial_state, run, step_cleared_mask
 from .graphs import (Graph, boundary_size_mask, has_odd_cycle, is_connected, mask_vertices,
                      vertex_mask)
 
@@ -80,7 +80,7 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
     return out
 
 
-def _move_choices(model: str, positions, sorted_adj) -> "itertools.chain":
+def _move_choices(model: str, positions, sorted_adj) -> Iterator[tuple]:
     """Deterministic enumeration of target tuples aligned with the sorted positions."""
     if model == "caffeinated":
         return itertools.product(*(sorted_adj[p] for p in positions))
@@ -164,8 +164,9 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     while frontier:
         peak = max(peak, len(frontier))
         positions, cleared = frontier.popleft()
+        frame = exposure(adj_masks, positions, cleared)
         for targets in _move_choices(model, positions, sorted_adj):
-            new_cleared = step_cleared_mask(adj_masks, positions, targets, cleared)
+            new_cleared = step_cleared_mask(frame, targets)
             new_key = (tuple(sorted(targets)), new_cleared)
             if new_cleared == full:
                 parents[new_key] = ((positions, cleared), targets)
@@ -249,7 +250,8 @@ def verify_lemma_bounds(g: Graph, trace: Trace) -> LemmaReport:
             elif targets != b.lions:
                 detail = f"lions {list(b.lions)}, replay gives {list(targets)}"
             else:  # via the dynamics namespace: per-namespace call counts keep search's apart
-                replayed = dynamics.step_cleared_mask(g.neighbor_masks, a.lions, targets, cleared)
+                frame = dynamics.exposure(g.neighbor_masks, a.lions, cleared)
+                replayed = dynamics.step_cleared_mask(frame, targets)
                 detail = "" if replayed == next_cleared else \
                     f"cleared {sorted(b.cleared)}, replay gives {list(mask_vertices(replayed))}"
             if detail:

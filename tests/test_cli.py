@@ -145,13 +145,24 @@ def test_verify_rejects_lions_off_the_graph(tmp_path, capsys):
 
 @pytest.mark.parametrize("record", [{"t": 0, "lions": [0], "cleared": [0], "move": 5},
                                     {"t": 0, "lions": ["a"], "cleared": [0], "move": None},
-                                    {"t": 0, "lions": [0], "cleared": ["x"], "move": None}])
+                                    {"t": 0, "lions": [0], "cleared": ["x"], "move": None},
+                                    {"t": 0, "lions": [True], "cleared": [1], "move": None},
+                                    {"t": 0, "lions": [1], "cleared": [True], "move": None},
+                                    {"t": False, "lions": [0], "cleared": [0], "move": None}])
 def test_verify_rejects_records_that_are_not_integer_lists(tmp_path, capsys, record):
     r2 = tmp_path / "r2.txt"
     main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
     trace = tmp_path / "bad.jsonl"
     _write_records(trace, [record])
     assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+
+
+def test_simulate_rejects_boolean_moves(tmp_path):
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    moves = tmp_path / "moves.txt"
+    moves.write_text("[false]\n")  # json reads a bool, which isinstance counts as 0
+    assert main(["simulate", str(r2), "--lions", "1", "--moves", str(moves)]) == 2
 
 
 @pytest.mark.parametrize("argv", [["search", "-k", "1", "--max-depth", "5"],

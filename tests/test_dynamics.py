@@ -2,15 +2,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph
-from lionsweep.dynamics import (STAY, InvalidMoveError, initial_state,
+from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, exposure, initial_state,
                                 is_monotone, is_swept, read_moves, read_trace, run,
-                                step, validate_moves, write_moves, write_trace)
+                                step, step_cleared_mask, validate_moves, write_moves,
+                                write_trace)
 from lionsweep.errors import ParseError
-from lionsweep.graphs import boundary, build_tri_lattice, make_graph
+from lionsweep.graphs import boundary, build_tri_lattice, make_graph, vertex_mask
 
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
 PATH2 = make_graph(2, [(0, 1)])
@@ -158,6 +159,47 @@ def test_step_matches_reference_rule(rng):
             assert state.cleared == expected
 
 
+@st.composite
+def kernel_cases(draw):
+    """A connected graph, a cleared set (mostly holding the lions), lions in
+    any order, often several on one vertex, and one move step of a drawn
+    motion model."""
+    n = draw(st.integers(2, 9))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    g = make_graph(n, edges)
+    spots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+    lions = draw(st.permutations(draw(st.lists(st.sampled_from(spots), min_size=1,
+                                               max_size=4))))
+    cleared = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    if draw(st.booleans()):  # as in every reachable state; else some may stand uncleared
+        cleared |= frozenset(lions)
+    model = draw(st.sampled_from(MODELS))
+    if model == "caffeinated":
+        mv = [draw(st.sampled_from(sorted(g.adj[p]))) for p in lions]
+    elif model == "free":
+        mv = [draw(st.sampled_from([STAY] + sorted(g.adj[p]))) for p in lions]
+    else:  # polite: everyone stays, or one lion moves
+        mv = [STAY] * len(lions)
+        i = draw(st.integers(-1, len(lions) - 1))
+        if i >= 0:
+            mv[i] = draw(st.sampled_from(sorted(g.adj[lions[i]])))
+    return g, cleared, tuple(lions), tuple(mv)
+
+
+# two lions on vertex 1, apart in the tuple, block both of its contaminated neighbors
+@example((make_graph(4, [(0, 1), (1, 2), (1, 3)]), frozenset({0, 1}), (1, 0, 1), (2, STAY, 3)))
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_two_part_kernel_matches_reference_rule(case):
+    g, cleared, lions, mv = case
+    targets = tuple(p if t == STAY else t for p, t in zip(lions, mv))
+    frame = exposure(g.neighbor_masks, lions, vertex_mask(cleared, g.n))
+    expected = reference_cleared_update(g, cleared, lions, mv)
+    assert step_cleared_mask(frame, targets) == vertex_mask(expected, g.n)
+
+
 def test_lemma_bounds_on_random_traces(rng):
     """Growth is at most k per step; a 2k-vertex boundary freezes growth."""
     for _ in range(200):
@@ -204,7 +246,9 @@ def test_trace_serialization_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [("t", 5), ("lions", [0]), ("move", 5),
-                                          ("lions", ["a", 0]), ("cleared", ["x"])])
+                                          ("lions", ["a", 0]), ("cleared", ["x"]),
+                                          ("lions", [True, 0]), ("cleared", [False]),
+                                          ("move", [False, STAY])])
 def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
     g = build_tri_lattice(2, 3)
     tr = run(g, "free", (0, 3), [(1, STAY), (2, 4)])
@@ -213,6 +257,7 @@ def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
     rec[field] = value  # t no longer follows t=1, a lion vanished, or not integer lists
+    # (json reads true and false as bools, which isinstance counts as integers)
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
@@ -225,3 +270,27 @@ def test_moves_serialization_round_trip(tmp_path):
     path = tmp_path / "moves.txt"
     write_moves(moves, path)
     assert read_moves(path) == moves
+
+
+@pytest.mark.parametrize("index, value", [(0, False), (1, True)])
+def test_read_trace_rejects_boolean_times(tmp_path, index, value):
+    """A bool t is refused even where it equals the expected time."""
+    tr = run(PATH2, "free", (1,), [(0,)])
+    path = tmp_path / "trace.jsonl"
+    write_trace(tr, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[index])
+    rec["t"] = value
+    lines[index] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as err:
+        read_trace(path)
+    assert err.value.line == index + 1
+
+
+def test_read_moves_rejects_booleans(tmp_path):
+    path = tmp_path / "moves.txt"
+    path.write_text("[1, -1]\n[true, 0]\n")
+    with pytest.raises(ParseError) as err:
+        read_moves(path)
+    assert err.value.line == 2

@@ -9,7 +9,7 @@ from conftest import random_connected_graph
 from lionsweep.dynamics import (STAY, SimState, Trace, initial_state, is_swept, run, step,
                                 validate_moves)
 from lionsweep.graphs import (build_circulant, build_square_grid, build_tri_lattice,
-                              make_graph)
+                              build_triangle, make_graph)
 from lionsweep.search import (SearchLimits, can_clear, min_lions, verify_lemma_bounds)
 
 R2 = build_tri_lattice(2, 2)
@@ -58,6 +58,39 @@ def test_witness_replays_with_model_validation():
         start = tr.states[0].lions
         replay = run(R2, model, start, tr.moves)  # run() re-validates every step
         assert replay.states[-1].cleared == frozenset(range(R2.n))
+
+
+R4 = build_tri_lattice(4, 4)
+P4 = build_triangle(4)
+C82 = build_circulant(8, 2)
+
+
+# (status, states_explored, peak_frontier, witness steps), with dominance
+# pruning on and, where that search takes under a second, off: any change to
+# the update kernel or the successor order that alters exploration shows here
+@pytest.mark.parametrize("g, model, k, dominance, expected", [
+    (R3, "free", 3, True, ("cleared", 926, 513, 5)),
+    (R3, "free", 3, False, ("cleared", 1223, 680, 5)),
+    (R3, "caffeinated", 3, True, ("cleared", 1554, 488, 7)),
+    (R3, "caffeinated", 3, False, ("cleared", 1988, 707, 7)),
+    (R4, "free", 3, True, ("impossible", 4241, 876, None)),
+    (R4, "polite", 4, True, ("cleared", 14847, 3154, 18)),
+    (P4, "free", 3, True, ("cleared", 3069, 507, 12)),
+    (P4, "free", 3, False, ("cleared", 4002, 685, 12)),
+    (C82, "polite", "min", True, ("cleared", 417, 141, 7)),
+    (C82, "polite", "min", False, ("cleared", 444, 157, 7)),
+], ids=["R3-free", "R3-free-nodom", "R3-caffeinated", "R3-caffeinated-nodom", "R4-free",
+        "R4-polite", "P4-free", "P4-free-nodom", "C82-polite-min", "C82-polite-min-nodom"])
+def test_search_counts_are_pinned(g, model, k, dominance, expected):
+    limits = SearchLimits(dominance_pruning=dominance)
+    if k == "min":
+        result = min_lions(g, model, 4, limits)
+        assert result.k == 4
+        verdict = result.verdict
+    else:
+        verdict = can_clear(g, k, model, limits=limits)
+    steps = len(verdict.trace.moves) if verdict.trace else None
+    assert (verdict.status, verdict.states_explored, verdict.peak_frontier, steps) == expected
 
 
 def test_dominance_pruning_does_not_change_verdicts(rng):
