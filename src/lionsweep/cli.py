@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success/cleared, 10 negative result
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from math import ceil
 
@@ -178,7 +179,15 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Building it takes about 3 ms and leaves an 80 KB reference cycle that only
+    the cycle collector frees, so a process that calls main() many times would
+    spend most of a short command there and keep dead parsers resident.
+    Parsing does not change the parser, so the calls share one.
+    """
     parser = argparse.ArgumentParser(prog="lionsweep",
                                      description="lions-and-contamination toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

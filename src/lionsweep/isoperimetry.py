@@ -1,4 +1,4 @@
-"""Fall-down transformation on the n x n vertex grid, exhaustive boundary
+"""Fall-down transformation on the n x n vertex grid, exact boundary
 profiles, and the triangle packings with their conjecture reports.
 
 The square grid S_n and the triangulated square R_n share one vertex set
@@ -16,7 +16,8 @@ from .errors import ResourceLimitError
 from .graphs import (Graph, boundary, boundary_size_mask, build_square_grid,
                      build_tri_lattice, build_triangle, mask_vertices, vertex_mask)
 
-SUBSET_BUDGET_BITS = 20  # every exhaustive enumeration visits at most 2^20 subsets
+# Fall-down visits at most 2^20 subsets; a profile DP layer holds at most 2^20 entries.
+SUBSET_BUDGET_BITS = 20
 
 
 def _check_budget(what: str, bits: int) -> None:
@@ -162,34 +163,175 @@ class IsoProfile:
     witness: dict
 
 
+def _decision_order(nbrs: tuple) -> list:
+    """The order in which iso_profile decides the vertices.
+
+    A decided vertex is active while it has an undecided neighbour; the DP's
+    layers grow as 3^(active).  A greedy run starts at one vertex and then
+    decides, among the undecided neighbours of decided vertices (any undecided
+    vertex when there is none), the one that leaves the fewest active
+    vertices, lowest index first.  Of the runs from every start, the one with
+    the least sum over steps of 3^(active) wins; a run stops as soon as its
+    partial sum reaches the best so far.
+    """
+    n = len(nbrs)
+    best, best_score = list(range(n)), None
+    for start in range(n):
+        undecided_deg = [len(x) for x in nbrs]
+        retires = [0] * n  # decided neighbours whose last undecided neighbour this is
+        decided = [False] * n
+        frontier = set()
+        order = []
+        active = score = 0
+        v = start
+        while True:
+            order.append(v)
+            decided[v] = True
+            frontier.discard(v)
+            for u in nbrs[v]:
+                undecided_deg[u] -= 1
+                if not decided[u]:
+                    frontier.add(u)
+                elif undecided_deg[u] == 0:
+                    active -= 1
+                elif undecided_deg[u] == 1:
+                    for w in nbrs[u]:
+                        if not decided[w]:
+                            retires[w] += 1
+            if undecided_deg[v]:
+                active += 1
+                if undecided_deg[v] == 1:
+                    for w in nbrs[v]:
+                        if not decided[w]:
+                            retires[w] += 1
+            score += 3 ** active
+            if best_score is not None and score >= best_score:
+                break
+            if len(order) == n:
+                best, best_score = order, score
+                break
+            v = min(frontier or (u for u in range(n) if not decided[u]),
+                    key=lambda c: ((undecided_deg[c] > 0) - retires[c], c))
+    return best
+
+
+def _profile_plan(g: Graph) -> tuple:
+    """The DP's steps in decision order, and its slot count.
+
+    An active vertex holds a slot, a bit position in the DP's keys, from the
+    step it is decided until the step it leaves; a vertex takes the lowest
+    slot that is free before its step.  Each step is (v, v's slot, the slots
+    of v's decided neighbours, the slots held after the step).  An order whose
+    layer bound is over the budget is refused here, before any layer is built.
+    """
+    adj = g.neighbor_masks
+    slot_of = [0] * g.n
+    decided = held = 0
+    plan = []
+    bound, width = 1, 0
+    for d, v in enumerate(_decision_order(g.adj), 1):
+        slot = (~held & (held + 1)).bit_length() - 1
+        slot_of[v] = slot
+        nbrs = mask_vertices(adj[v] & decided)
+        decided |= 1 << v
+        for u in nbrs:
+            if not adj[u] & ~decided:
+                held &= ~(1 << slot_of[u])
+        if adj[v] & ~decided:
+            held |= 1 << slot
+        plan.append((v, slot, sum(1 << slot_of[u] for u in nbrs), held))
+        a = held.bit_count()
+        width = max(width, a)
+        bound = max(bound, min(3 ** a * (d + 1), 1 << d))
+    if bound > 1 << SUBSET_BUDGET_BITS:
+        raise ResourceLimitError(
+            f"profile DP on {g.n} vertices reaches active width {width}, a layer of up to "
+            f"{bound} entries, over the budget of 2^{SUBSET_BUDGET_BITS}")
+    return plan, width + 1
+
+
+def _profile_layer(layer: dict, step: tuple, n: int, slots: int, size_bits: int,
+                   out_min: int, in_max: int) -> dict:
+    """Decide one vertex in every entry of a DP layer; return the next layer.
+
+    A key is (pending << slots | in_s) << size_bits | size, with one bit per
+    slot; a value is boundary << n | (full ^ bitreverse(witness)), so a plain
+    < prefers the smaller boundary, then the lexicographically smaller
+    witness.  Out of S, v makes each pending neighbour a boundary vertex; in
+    S, v is on the boundary at once if a decided neighbour is out of S, and
+    pending otherwise.  Entries of size < out_min may not leave v out, entries
+    of size >= in_max may not take it in.
+    """
+    v, slot, nbrs, keep = step
+    in_v = 1 << (size_bits + slot)
+    pend_v = in_v << slots
+    nbr_pend = nbrs << (size_bits + slots)
+    nbr_in = nbrs << size_bits
+    size_mask = (1 << size_bits) - 1
+    keep_key = (keep << (size_bits + slots)) | (keep << size_bits) | size_mask
+    w_v = 1 << (n - 1 - v)
+    in_boundary = (1 << n) - w_v
+    nxt: dict = {}
+    get = nxt.get
+    for key, code in layer.items():
+        size = key & size_mask
+        if size >= out_min:
+            hit = key & nbr_pend
+            k = (key ^ hit) & keep_key
+            c = code + (hit.bit_count() << n)
+            old = get(k)
+            if old is None or c < old:
+                nxt[k] = c
+        if size < in_max:
+            if key & nbr_in == nbr_in:
+                k = ((key | in_v | pend_v) & keep_key) + 1
+                c = code - w_v
+            else:
+                k = ((key | in_v) & keep_key) + 1
+                c = code + in_boundary
+            old = get(k)
+            if old is None or c < old:
+                nxt[k] = c
+    return nxt
+
+
 def iso_profile(g: Graph, size_lo: int, size_hi: int) -> IsoProfile:
     """Minimum |boundary(S)| over all S of each cardinality in [size_lo, size_hi],
-    by full subset enumeration: the one enumeration cheeger_constant reduces over.
+    by a dynamic program over the vertices: the one kernel cheeger_constant and
+    conjecture_report reduce over.
 
-    Witnesses stay masks until the end.  Of two equal-size masks A and B, A is
-    the lexicographically smaller sorted subset exactly when the lowest bit of
-    A ^ B is in A, so the witness does not depend on the enumeration order.
+    The vertices are decided one at a time, in the order _decision_order
+    picks.  A decided vertex is active while it has an undecided neighbour.
+    A state records, per active vertex, whether it is in S and, if so,
+    whether it is still pending: no decided neighbour is out of S.  A pending
+    vertex that leaves the state (its last neighbour decided) is not on the
+    boundary.  Each state keeps, per size, the least boundary so far and its
+    witness.
+
+    Of two equal-size masks A and B, A is the lexicographically smaller sorted
+    subset exactly when the lowest bit of A ^ B is in A.  Two partial masks
+    that reach the same state share every completion f, and
+    (A | f) ^ (B | f) = A ^ B, so keeping the partial mask that holds the
+    lowest differing bit keeps the lexicographically smallest minimizer,
+    whatever the decision order.
+
+    Budget: the layer after d decisions with a active vertices has at most
+    min(3^a (d + 1), 2^d) entries.  An order whose bound is over
+    2^SUBSET_BUDGET_BITS for some layer is refused before the first layer is
+    built.  2^d <= 2^|V|, so every graph of at most 20 vertices is accepted.
     """
-    _check_budget("profile", g.n)
     if not (0 <= size_lo <= size_hi <= g.n):
         raise ValueError("size range must satisfy 0 <= lo <= hi <= |V|")
-    adj = g.neighbor_masks
-    best: dict = {}
-    witness_mask: dict = {}
-    for mask in range(1 << g.n):
-        s = mask.bit_count()
-        if s < size_lo or s > size_hi:
-            continue
-        b = boundary_size_mask(adj, mask)
-        cur = best.get(s)
-        if cur is None or b < cur:
-            best[s] = b
-            witness_mask[s] = mask
-        elif b == cur:
-            diff = mask ^ witness_mask[s]
-            if mask & diff & -diff:
-                witness_mask[s] = mask
-    witness = {s: frozenset(mask_vertices(m)) for s, m in witness_mask.items()}
+    n = g.n
+    plan, slots = _profile_plan(g)
+    size_bits = n.bit_length()
+    full = (1 << n) - 1
+    layer = {0: full}
+    for d, step in enumerate(plan, 1):
+        layer = _profile_layer(layer, step, n, slots, size_bits, size_lo - (n - d), size_hi)
+    best = {s: layer[s] >> n for s in range(size_lo, size_hi + 1)}
+    witness = {s: frozenset(n - 1 - u for u in mask_vertices(full ^ (layer[s] & full)))
+               for s in range(size_lo, size_hi + 1)}
     return IsoProfile(size_lo, size_hi, best, witness)
 
 
@@ -243,11 +385,10 @@ class ConjectureReport:
 
 
 def conjecture_report(n: int) -> ConjectureReport:
-    """Exhaustively compare min |boundary| on P_n against the packings for
-    every cardinality, and evaluate the conjectured thresholds."""
+    """Compare the exact min |boundary| on P_n (from iso_profile) against the
+    packings for every cardinality, and evaluate the conjectured thresholds."""
     if n < 1:
         raise ValueError("conjecture report needs n >= 1")
-    _check_budget("conjecture report", triangular(n))
     tri = build_triangle(n)
     total = triangular(n)
     profile = iso_profile(tri, 0, total)

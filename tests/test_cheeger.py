@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import dense_shuffled_graph, random_connected_graph
 from lionsweep.cheeger import cheeger_constant, lion_bound, polite_lion_bound
 from lionsweep.errors import ResourceLimitError
 from lionsweep.graphs import (boundary, build_circulant, build_square_grid,
@@ -91,4 +91,4 @@ def test_errors():
     with pytest.raises(ValueError):
         cheeger_constant(make_graph(1, []))
     with pytest.raises(ResourceLimitError):
-        cheeger_constant(build_square_grid(5))  # 25 > 20 default limit
+        cheeger_constant(dense_shuffled_graph(seed=4))  # a DP layer over 2^20 entries

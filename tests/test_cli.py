@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -208,6 +209,17 @@ def test_isoperimetry_profile(tmp_path, capsys):
     assert lines[1].startswith("1,1,")
 
 
+def test_parser_shared_across_calls_keeps_no_state(tmp_path, capsys):
+    """main() reuses one parser; options from one call must not leak into the next."""
+    p3 = tmp_path / "p3.txt"
+    main(["graph", "triangle", "-n", "3", "-o", str(p3)])
+    capsys.readouterr()
+    assert main(["isoperimetry", "profile", str(p3), "--lo", "1", "--hi", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert main(["isoperimetry", "profile", str(p3)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8  # header + sizes 0..6
+
+
 def test_conjecture_csv_and_exit(tmp_path):
     out = tmp_path / "report.csv"
     code = main(["conjecture", "-n", "4", "-o", str(out)])
@@ -217,8 +229,11 @@ def test_conjecture_csv_and_exit(tmp_path):
     assert len(lines) == 12  # header + sizes 0..10
 
 
-def test_conjecture_resource_limit():
-    assert main(["conjecture", "-n", "7"]) == 40
+def test_conjecture_resource_limit(capsys):
+    assert main(["conjecture", "-n", "10"]) == 40
+    err = capsys.readouterr().err
+    assert re.search(r"active width \d+, a layer of up to \d+ entries, over the budget of 2\^20",
+                     err)
 
 
 def test_wall_strategy_roundtrip(tmp_path, capsys):

@@ -1,13 +1,17 @@
 import itertools
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_shuffled_graph
 from lionsweep import isoperimetry
 from lionsweep.cheeger import cheeger_constant
 from lionsweep.errors import ResourceLimitError
-from lionsweep.graphs import boundary, build_tri_lattice, build_triangle
+from lionsweep.graphs import (boundary, build_circulant, build_tri_lattice, build_triangle,
+                              make_graph)
 from lionsweep.isoperimetry import (boundary_in_both, conjecture_report, fall_down,
                                     falldown_check, falldown_counterexample_search,
                                     falldown_mismatches, iso_profile, packing,
@@ -105,32 +109,101 @@ def test_iso_profile_matches_combination_oracle():
         assert tuple(sorted(prof.witness[size])) == combos[sizes.index(best)]
 
 
+@st.composite
+def graphs_with_windows(draw, max_n=12):
+    """Graphs of 0..max_n vertices, sparse to complete, so often disconnected
+    or with isolated vertices, and a size window [lo, hi]."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from((0.0, 0.15, 0.3, 0.6, 1.0)))
+    rnd = draw(st.randoms(use_true_random=False))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    lo = draw(st.integers(0, n))
+    hi = draw(st.integers(lo, n))
+    return make_graph(n, edges), lo, hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_windows())
+def test_iso_profile_matches_combination_oracle_on_random_graphs(case):
+    g, lo, hi = case
+    prof = iso_profile(g, lo, hi)
+    assert sorted(prof.min_boundary) == sorted(prof.witness) == list(range(lo, hi + 1))
+    for size in range(lo, hi + 1):
+        combos = list(itertools.combinations(range(g.n), size))
+        sizes = [len(boundary(g, frozenset(c))) for c in combos]
+        best = min(sizes)
+        assert prof.min_boundary[size] == best
+        assert tuple(sorted(prof.witness[size])) == combos[sizes.index(best)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_windows(max_n=16), st.randoms(use_true_random=False))
+def test_iso_profile_values_do_not_depend_on_labels(case, rnd):
+    """Relabelling changes the decision order, not the minimum boundaries."""
+    g, lo, hi = case
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    relabelled = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    prof = iso_profile(g, lo, hi)
+    prof2 = iso_profile(relabelled, lo, hi)
+    assert prof2.min_boundary == prof.min_boundary
+    for size, w in prof2.witness.items():
+        assert len(w) == size and len(boundary(relabelled, w)) == prof.min_boundary[size]
+
+
+@pytest.mark.parametrize("n, value", [(5, Fraction(2, 5)), (6, Fraction(1, 3))])
+def test_cheeger_of_large_tri_lattices(n, value):
+    """Graphs with more than 2^20 subsets: R_{5,5} (25 vertices) and R_{6,6} (36)."""
+    g = build_tri_lattice(n, n)
+    res = cheeger_constant(g)
+    assert res.value == value
+    size = len(res.witness)
+    assert Fraction(len(boundary(g, res.witness)), min(size, g.n - size)) == value
+
+
+def test_conjecture_report_n6_matches_brute_force_fixture():
+    """tests/data/conjecture_n6.csv was written once by a full enumeration of
+    the 2^21 subsets of P_6."""
+    fixture = Path(__file__).parent / "data" / "conjecture_n6.csv"
+    assert conjecture_report(6).to_csv() == fixture.read_text()
+
+
 def test_iso_profile_limit():
-    with pytest.raises(ResourceLimitError):
-        iso_profile(build_triangle(7), 0, 1)  # 28 vertices
+    g = dense_shuffled_graph(seed=1)
+    with pytest.raises(ResourceLimitError, match=r"active width \d+, a layer of up to \d+ entries"):
+        iso_profile(g, 0, 1)
 
 
 def test_one_subset_budget_edges(monkeypatch):
-    """Every enumeration may visit 2^20 subsets and no more: |V| <= 20 for the
-    profile and Cheeger, n <= 4 for fall-down (2^16 and 2^25 subsets), n <= 5
-    for the conjecture report (T_5 = 15, T_6 = 21).  Over-budget calls are
-    refused before a single subset is visited."""
-    def visited(*args):
-        raise AssertionError("a subset was enumerated past the budget")
+    """Fall-down may visit 2^20 subsets and no more: n <= 4 (2^16; n = 5 is
+    2^25).  A profile DP layer may hold 2^20 entries: every graph of at most
+    20 vertices, R_{8,8} and P_9 fit; R_{9,9}, P_10 and a dense 24-vertex
+    graph do not.  Over-budget calls are refused before a single subset is
+    visited or a DP layer is built."""
+    def worked(*args):
+        raise AssertionError("work was done past the budget")
 
-    monkeypatch.setattr(isoperimetry, "boundary_size_mask", visited)
+    monkeypatch.setattr(isoperimetry, "boundary_size_mask", worked)
+    monkeypatch.setattr(isoperimetry, "_profile_layer", worked)
     with pytest.raises(ResourceLimitError):
         falldown_check(5)
     with pytest.raises(ResourceLimitError):
         next(falldown_mismatches(5))
     with pytest.raises(ResourceLimitError):
-        conjecture_report(6)
-    r37 = build_tri_lattice(3, 7)  # 21 vertices
+        conjecture_report(10)  # P_10, 55 vertices
+    dense = dense_shuffled_graph(seed=2)
     with pytest.raises(ResourceLimitError):
-        iso_profile(r37, 0, 0)
+        iso_profile(dense, 0, 0)
     with pytest.raises(ResourceLimitError):
-        cheeger_constant(r37)
+        cheeger_constant(dense)
+    with pytest.raises(ResourceLimitError):
+        iso_profile(build_tri_lattice(9, 9), 0, 0)
     monkeypatch.undo()
+    isoperimetry._profile_plan(build_tri_lattice(8, 8))
+    isoperimetry._profile_plan(build_triangle(9))
+    k20 = build_circulant(20, 10)  # the complete graph K_20
+    assert iso_profile(k20, 0, 1).min_boundary == {0: 0, 1: 1}
+    assert iso_profile(dense_shuffled_graph(seed=3, n=20), 0, 0).min_boundary == {0: 0}
     assert iso_profile(build_tri_lattice(4, 5), 0, 0).min_boundary == {0: 0}  # 20 vertices
 
 
@@ -205,4 +278,4 @@ def test_conjecture_thresholds():
     assert rep5.window_size == 6  # T_floor(sqrt(15)) = T_3
     assert rep5.window_threshold == 3  # floor(5/sqrt(2))
     with pytest.raises(ResourceLimitError):
-        conjecture_report(6)
+        conjecture_report(10)
