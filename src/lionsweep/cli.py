@@ -13,7 +13,7 @@ from math import ceil
 
 from . import cheeger as cheeger_mod
 from . import dynamics, graphs, isoperimetry, search, strategies
-from .errors import InfeasibleWalkError, ParseError, ResourceLimitError
+from .errors import ResourceLimitError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -270,10 +270,7 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, InfeasibleWalkError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
-from .graphs import Graph, mask_vertices, vertex_mask
+from .graphs import Graph, _interior_mask, check_vertices, mask_vertices, vertex_mask
 
 STAY = -1
 
@@ -65,9 +65,7 @@ class Trace:
 
 def initial_state(g: Graph, lions: Sequence) -> SimState:
     """Time-0 state: exactly the occupied vertices are cleared."""
-    for p in lions:
-        if not (0 <= p < g.n):
-            raise ValueError(f"lion position {p} not a vertex of the graph")
+    check_vertices(g, lions)
     return SimState(0, tuple(lions), frozenset(lions))
 
 
@@ -130,20 +128,7 @@ def exposure(adj_masks, positions, cleared: int) -> tuple:
     positions may be in any order and repeat vertices.
     """
     contaminated = ~cleared & ((1 << len(adj_masks)) - 1)
-    safe = cleared
-    if contaminated.bit_count() <= cleared.bit_count():  # walk the smaller side
-        rest = contaminated
-        while rest:
-            low = rest & -rest
-            safe &= ~adj_masks[low.bit_length() - 1]
-            rest ^= low
-    else:
-        rest = cleared
-        while rest:
-            low = rest & -rest
-            if adj_masks[low.bit_length() - 1] & contaminated:
-                safe ^= low
-            rest ^= low
+    safe = _interior_mask(adj_masks, cleared)
     lions_at = {}
     for i, p in enumerate(positions):
         lions_at.setdefault(p, []).append(i)

@@ -72,7 +72,7 @@ class Graph:
 
     @cached_property
     def neighbor_masks(self) -> tuple:
-        """Per-vertex adjacency as bitmasks, for subset-enumeration work."""
+        """Per-vertex adjacency as bitmasks: bit u of entry v is set iff uv is an edge."""
         return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
 
 
@@ -161,9 +161,16 @@ def build_circulant(n: int, k: int) -> Graph:
     return make_graph(n, edges, None, "circulant")
 
 
+def check_vertices(g: Graph, vertices) -> None:
+    """Raise ValueError unless every one of the vertices is a vertex of g."""
+    for v in vertices:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} not in graph with {g.n} vertices")
+
+
 def boundary(g: Graph, s: VertexSet) -> VertexSet:
     """Vertices of s that share an edge with some vertex outside s."""
-    _check_subset(g, s)
+    check_vertices(g, s)
     return frozenset(v for v in s if any(u not in s for u in g.adj[v]))
 
 
@@ -189,36 +196,49 @@ def mask_vertices(mask: int) -> tuple:
 
 def boundary_size_mask(adj_masks, s_mask: int) -> int:
     """|boundary of the bitmask subset s_mask| under the given adjacency masks."""
-    count = 0
-    m = s_mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        if adj_masks[v] & ~s_mask:
-            count += 1
-    return count
+    return s_mask.bit_count() - _interior_mask(adj_masks, s_mask).bit_count()
+
+
+def _interior_mask(adj_masks, s: int) -> int:
+    """The vertices of the bitmask s with no neighbor outside s, walking
+    whichever of s and its complement has fewer vertices."""
+    outside = ~s & ((1 << len(adj_masks)) - 1)
+    interior = s
+    if outside.bit_count() <= s.bit_count():
+        rest = outside
+        while rest:
+            low = rest & -rest
+            interior &= ~adj_masks[low.bit_length() - 1]
+            rest ^= low
+    else:
+        rest = s
+        while rest:
+            low = rest & -rest
+            if adj_masks[low.bit_length() - 1] & outside:
+                interior ^= low
+            rest ^= low
+    return interior
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == g.n
+    """True iff g has at most one component (the empty graph counts as connected)."""
+    return _two_coloring(g)[0] <= 1
 
 
 def has_odd_cycle(g: Graph) -> bool:
     """True iff g is not 2-colorable (checked per connected component)."""
+    return _two_coloring(g)[1]
+
+
+def _two_coloring(g: Graph) -> tuple:
+    """Breadth-first 2-coloring of every component: (component count, odd cycle found)."""
     color = [-1] * g.n
+    components = 0
+    odd = False
     for s in range(g.n):
         if color[s] != -1:
             continue
+        components += 1
         color[s] = 0
         queue = deque([s])
         while queue:
@@ -228,8 +248,8 @@ def has_odd_cycle(g: Graph) -> bool:
                     color[u] = color[v] ^ 1
                     queue.append(u)
                 elif color[u] == color[v]:
-                    return True
-    return False
+                    odd = True
+    return components, odd
 
 
 def save_graph(g: Graph, path) -> None:
@@ -285,9 +305,3 @@ def load_graph(path) -> Graph:
     if n is None:
         raise ParseError("missing 'vertices <N>' header", 1)
     return make_graph(n, edges, None, "custom")
-
-
-def _check_subset(g: Graph, s) -> None:
-    for v in s:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} not in graph with {g.n} vertices")

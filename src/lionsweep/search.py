@@ -15,8 +15,8 @@ from typing import Iterator, Optional
 
 from . import dynamics
 from .dynamics import STAY, Trace, exposure, initial_state, run, step_cleared_mask
-from .graphs import (Graph, boundary_size_mask, has_odd_cycle, is_connected, mask_vertices,
-                     vertex_mask)
+from .graphs import (Graph, boundary_size_mask, check_vertices, has_odd_cycle, is_connected,
+                     mask_vertices, vertex_mask)
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,7 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
     for tup in starts:
         if len(tup) != k:
             raise ValueError(f"start {tup} does not place {k} lions")
-        for p in tup:
-            if not (0 <= p < g.n):
-                raise ValueError(f"start position {p} out of range")
+        check_vertices(g, tup)
         out.append(tuple(sorted(tup)))
     return out
 
@@ -221,15 +219,16 @@ class LemmaReport:
 
 
 def verify_lemma_bounds(g: Graph, trace: Trace) -> LemmaReport:
-    """Replay the trace from initial_state (a lion off the graph or a move
-    for another number of lions raises ValueError): the first record whose
-    move is not adjacent, or whose lions or cleared set differ from the
-    replay, is a "replay" violation.  Also
+    """Replay the trace from initial_state (a lion off the graph in any
+    record, or a move for another number of lions, raises ValueError): the
+    first record whose move is not adjacent, or whose lions or cleared set
+    differ from the replay, is a "replay" violation.  Also
     check, with k the lion count, |C(t+1)| - |C(t)| <= k and that
     |boundary(C(t))| >= 2k forces |C(t+1)| <= |C(t)|: proved facts, so a
     violation means an engine bug or an edited trace.
     """
     states = trace.states
+    check_vertices(g, itertools.chain.from_iterable(s.lions for s in states))
     start = initial_state(g, states[0].lions)
     k = len(start.lions)
     replaying = states[0].cleared == start.cleared

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .dynamics import STAY, initial_state, step
 from .errors import InfeasibleWalkError, WalkParityError, WalkTooShortError
-from .graphs import Graph, build_tri_lattice
+from .graphs import Graph, build_tri_lattice, check_vertices
 
 Walk = tuple  # ordered vertex list; length of the walk = len - 1
 
@@ -89,9 +89,7 @@ def exact_length_walk(g: Graph, u: int, v: int, m: int) -> Walk:
     for u != v; on bipartite graphs only the parity of dist(u, v) is ever
     feasible.
     """
-    for x in (u, v):
-        if not (0 <= x < g.n):
-            raise ValueError(f"vertex {x} not in graph")
+    check_vertices(g, (u, v))
     if m < 0:
         raise ValueError("walk length must be >= 0")
     dist, parent = parity_distances(g, u)
@@ -122,9 +120,7 @@ def simultaneous_repositioning(g: Graph, starts: Sequence, targets: Sequence) ->
     """
     if len(starts) != len(targets):
         raise ValueError("starts and targets must pair up")
-    for x in (*starts, *targets):
-        if not (0 <= x < g.n):
-            raise ValueError(f"vertex {x} not in graph")
+    check_vertices(g, (*starts, *targets))
     if not starts:
         return ()
     ends, parents = [], []
@@ -160,9 +156,7 @@ def row_sweep_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     if len(starts) != n:
         raise ValueError(f"row sweep of R_{{{n},{l}}} needs exactly {n} lions")
     g = build_tri_lattice(n, l)
-    for p in starts:
-        if not (0 <= p < g.n):
-            raise ValueError(f"start {p} not a vertex of R_{{{n},{l}}}")
+    check_vertices(g, starts)
 
     moves = []
     pos = list(starts)
@@ -237,9 +231,7 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     if len(starts) != need:
         raise ValueError(f"caffeinated wall sweep of R_{{{n},{l}}} needs exactly {need} lions")
     g = build_tri_lattice(n, l)
-    for p in starts:
-        if not (0 <= p < g.n):
-            raise ValueError(f"start {p} not a vertex of R_{{{n},{l}}}")
+    check_vertices(g, starts)
 
     if n == 1:
         if l == 1:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from lionsweep.graphs import make_graph
 
@@ -20,6 +21,17 @@ def random_connected_graph(rng: random.Random, n_min=2, n_max=12):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return make_graph(n, edges)
+
+
+@st.composite
+def small_graphs(draw, max_n=12):
+    """Graphs of 0..max_n vertices, sparse to complete, so often disconnected
+    or with isolated vertices."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from((0.0, 0.15, 0.3, 0.6, 1.0)))
+    rnd = draw(st.randoms(use_true_random=False))
+    return make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rnd.random() < density])
 
 
 def dense_shuffled_graph(seed: int, n: int = 24, density: float = 0.6):

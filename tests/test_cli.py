@@ -134,6 +134,17 @@ def test_verify_rejects_lions_off_the_graph(tmp_path, capsys):
     trace = tmp_path / "forged.jsonl"
     _write_records(trace, [{"t": 0, "lions": [7], "cleared": [7], "move": None}])
     assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+    # a later record's lion, with a move the replay alone would call not adjacent
+    _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
+                           {"t": 1, "lions": [9], "cleared": [0], "move": [9]}])
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+    assert "vertex 9 not in graph with 4 vertices" in capsys.readouterr().err
+    # a forged first cleared set stops the replay, so only the vertex check sees the lion
+    _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0, 1], "move": None},
+                           {"t": 1, "lions": [-1], "cleared": [0], "move": [1]}])
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+    assert "vertex -1 not in graph with 4 vertices" in capsys.readouterr().err
     _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
                            {"t": 1, "lions": [1], "cleared": [1], "move": [1, 2]}])
     assert main(["verify", str(r2), "--trace", str(trace)]) == 2  # a move for two lions

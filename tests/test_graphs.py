@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import small_graphs
+from lionsweep.dynamics import exposure
 from lionsweep.errors import ParseError
-from lionsweep.graphs import (boundary, build_circulant, build_square_grid,
-                              build_tri_lattice, build_triangle, has_odd_cycle,
+from lionsweep.graphs import (boundary, boundary_size_mask, build_circulant, build_square_grid,
+                              build_tri_lattice, build_triangle, check_vertices, has_odd_cycle,
                               is_connected, load_graph, make_graph, mask_vertices,
                               save_graph, vertex_mask)
 
@@ -123,6 +125,62 @@ def test_connectivity_predicates():
     g = make_graph(2, [])
     assert not is_connected(g)
     assert not has_odd_cycle(g)
+    # the odd cycle is only in the last component, after a path
+    g = make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+    assert not is_connected(g)
+    assert has_odd_cycle(g)
+    g = make_graph(4, [(1, 2), (2, 3), (1, 3)])  # isolated vertex 0, then a triangle
+    assert not is_connected(g)
+    assert has_odd_cycle(g)
+    g = make_graph(5, [(1, 2), (2, 3)])  # isolated vertices 0 and 4
+    assert not is_connected(g)
+    assert not has_odd_cycle(g)
+    for g in (make_graph(0, []), make_graph(1, [])):
+        assert is_connected(g)
+        assert not has_odd_cycle(g)
+
+
+@st.composite
+def graphs_with_masks(draw, max_n=12):
+    """A small_graphs graph and a subset mask: the empty set, V, half of V (a
+    subset as large as its complement, for even n) or any subset."""
+    g = draw(small_graphs(max_n))
+    full = (1 << g.n) - 1
+    half = vertex_mask(draw(st.permutations(range(g.n)))[: g.n // 2], g.n)
+    mask = draw(st.sampled_from((0, full, half)) | st.integers(0, full))
+    return g, mask
+
+
+def _assert_mask_kernels_match(g, mask):
+    s = frozenset(mask_vertices(mask))
+    b = boundary(g, s)
+    assert boundary_size_mask(g.neighbor_masks, mask) == len(b)
+    safe, _ = exposure(g.neighbor_masks, (), mask)
+    assert safe == vertex_mask(s - b, g.n)
+
+
+@given(graphs_with_masks())
+def test_mask_kernels_match_set_boundary(case):
+    """boundary_size_mask and exposure's Safe share one walk over the smaller
+    of S and its complement; both must agree with the set-based boundary."""
+    _assert_mask_kernels_match(*case)
+
+
+@pytest.mark.parametrize("g", [make_graph(0, []), make_graph(5, []), make_graph(3, [(0, 1)]),
+                               make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]),
+                               build_tri_lattice(2, 3), build_circulant(7, 3)])
+def test_mask_kernels_match_set_boundary_on_every_subset(g):
+    for mask in range(1 << g.n):
+        _assert_mask_kernels_match(g, mask)
+
+
+def test_check_vertices():
+    g = build_tri_lattice(2, 2)
+    check_vertices(g, ())
+    check_vertices(g, [0, 3, 3])
+    for bad in ([4], [0, -1], iter([1, 9])):
+        with pytest.raises(ValueError, match="not in graph with 4 vertices"):
+            check_vertices(g, bad)
 
 
 def test_save_load_round_trip(tmp_path):

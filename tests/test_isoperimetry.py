@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_shuffled_graph
+from conftest import dense_shuffled_graph, small_graphs
 from lionsweep import isoperimetry
 from lionsweep.cheeger import cheeger_constant
 from lionsweep.errors import ResourceLimitError
@@ -111,15 +111,11 @@ def test_iso_profile_matches_combination_oracle():
 
 @st.composite
 def graphs_with_windows(draw, max_n=12):
-    """Graphs of 0..max_n vertices, sparse to complete, so often disconnected
-    or with isolated vertices, and a size window [lo, hi]."""
-    n = draw(st.integers(0, max_n))
-    density = draw(st.sampled_from((0.0, 0.15, 0.3, 0.6, 1.0)))
-    rnd = draw(st.randoms(use_true_random=False))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
-    lo = draw(st.integers(0, n))
-    hi = draw(st.integers(lo, n))
-    return make_graph(n, edges), lo, hi
+    """A small_graphs graph and a size window [lo, hi]."""
+    g = draw(small_graphs(max_n))
+    lo = draw(st.integers(0, g.n))
+    hi = draw(st.integers(lo, g.n))
+    return g, lo, hi
 
 
 @settings(max_examples=80, deadline=None)
