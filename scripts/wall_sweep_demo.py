@@ -6,7 +6,7 @@ Rows are printed top (row n) to bottom (row 1).
 """
 import argparse
 
-from lionsweep.dynamics import initial_state, step
+from lionsweep.dynamics import run
 from lionsweep.graphs import build_tri_lattice
 from lionsweep.strategies import caffeinated_wall_moves, wall_positions
 
@@ -41,13 +41,11 @@ def main():
     plan = caffeinated_wall_moves(n, l, starts)
     print(f"R_{{{n},{l}}} with {k} caffeinated lions, "
           f"{len(plan.moves)} steps ({plan.formation_steps} formation)\n")
-    state = initial_state(g, starts)
-    print(f"t=0\n{render(g, n, l, state)}\n")
-    for mv in plan.moves:
-        state = step(g, state, mv)
-        tag = " (formation)" if state.time <= plan.formation_steps else ""
+    trace = run(g, "caffeinated", starts, plan.moves)
+    for state in trace.states:
+        tag = " (formation)" if 0 < state.time <= plan.formation_steps else ""
         print(f"t={state.time}{tag}\n{render(g, n, l, state)}\n")
-    swept = state.cleared == frozenset(range(g.n))
+    swept = trace.final().cleared == frozenset(range(g.n))
     print("swept" if swept else "NOT swept")
 
 

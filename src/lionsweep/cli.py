@@ -57,11 +57,7 @@ def cmd_simulate(args) -> int:
     g = graphs.load_graph(args.graph)
     lions = _parse_ints(args.lions)
     moves = dynamics.read_moves(args.moves)
-    try:
-        trace = dynamics.run(g, args.model, lions, moves, stop_on_sweep=args.stop_on_sweep)
-    except dynamics.InvalidMoveError as exc:
-        print(f"invalid move at step {exc.step_index}: {exc.violations}", file=sys.stderr)
-        return EXIT_USAGE
+    trace = dynamics.run(g, args.model, lions, moves, stop_on_sweep=args.stop_on_sweep)
     if args.trace_out:
         dynamics.write_trace(trace, args.trace_out)
     t = dynamics.is_swept(trace, g)
@@ -106,7 +102,7 @@ def cmd_search(args) -> int:
         if result.status == "found":
             v = result.verdict
             print(f"k* = {result.k} (states={v.states_explored}, peak_frontier={v.peak_frontier})")
-            if args.witness_out and v.trace is not None:
+            if args.witness_out:
                 dynamics.write_trace(v.trace, args.witness_out)
             return EXIT_OK
         if result.status == "unknown":
@@ -118,7 +114,7 @@ def cmd_search(args) -> int:
     print(f"{verdict.status} (states={verdict.states_explored}, "
           f"peak_frontier={verdict.peak_frontier})")
     if verdict.status == "cleared":
-        if args.witness_out and verdict.trace is not None:
+        if args.witness_out:
             dynamics.write_trace(verdict.trace, args.witness_out)
         return EXIT_OK
     if verdict.status == "impossible":

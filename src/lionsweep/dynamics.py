@@ -11,8 +11,9 @@ moves and Blocked the (undirected) edges some lion crossed during the step,
 Contamination spreads exactly one hop per step, read off the time-t state;
 a vertex a lion vacates can recontaminate in the same step.
 
-The rule is computed in two parts, which every caller uses back to back or,
-in the search, once per state and once per successor:
+The rule is computed in two parts, which _advance() uses back to back for
+step(), run() and verify's replay, and the search once per state and once
+per successor:
 
     exposure(), per state:  Safe, the cleared vertices with no contaminated
         neighbor, and the vacancies, the cleared lion positions v whose
@@ -98,24 +99,22 @@ def validate_moves(g: Graph, model: str, state: SimState, mv: MoveStep) -> list:
 def step(g: Graph, state: SimState, mv: MoveStep) -> SimState:
     """Apply one synchronous move step and the contamination update.
 
-    The caller is responsible for motion-model checks; adjacency is enforced
-    here because a non-adjacent move has no defined semantics.
+    The caller is responsible for motion-model checks; a non-adjacent move
+    has no defined semantics, so step validates under the free model and
+    raises InvalidMoveError at step state.time.
     """
-    if len(mv) != len(state.lions):
-        raise ValueError("move step length must equal the number of lions")
-    new_positions = []
-    for i, target in enumerate(mv):
-        pos = state.lions[i]
-        if target == STAY:
-            new_positions.append(pos)
-        else:
-            if target not in g.adj[pos]:
-                raise ValueError(f"invalid move: lion {i} from {pos} to non-adjacent {target}")
-            new_positions.append(target)
+    violations = validate_moves(g, "free", state, mv)
+    if violations:
+        raise InvalidMoveError(state.time, violations)
+    positions, cleared = _advance(g.neighbor_masks, state.lions,
+                                  vertex_mask(state.cleared, g.n), mv)
+    return SimState(state.time + 1, positions, frozenset(mask_vertices(cleared)))
 
-    frame = exposure(g.neighbor_masks, state.lions, vertex_mask(state.cleared, g.n))
-    new_mask = step_cleared_mask(frame, new_positions)
-    return SimState(state.time + 1, tuple(new_positions), frozenset(mask_vertices(new_mask)))
+
+def _advance(adj_masks, lions, cleared: int, mv: MoveStep) -> tuple:
+    """One validated move step on masks: (lion positions, cleared mask) after it."""
+    positions = tuple(p if t == STAY else t for p, t in zip(lions, mv))
+    return positions, step_cleared_mask(exposure(adj_masks, lions, cleared), positions)
 
 
 def exposure(adj_masks, positions, cleared: int) -> tuple:
@@ -157,7 +156,7 @@ def step_cleared_mask(frame, targets) -> int:
 
 
 class InvalidMoveError(ValueError):
-    """Raised by run() when a move fails model validation; carries the step index."""
+    """Raised by step() and run() when a move fails validation; carries the step index."""
 
     def __init__(self, step_index: int, violations):
         super().__init__(f"invalid move at step {step_index}: {violations}")
@@ -167,22 +166,26 @@ class InvalidMoveError(ValueError):
 
 def run(g: Graph, model: str, lions: Sequence, moves: Iterable,
         stop_on_sweep: bool = False) -> Trace:
-    """Fold step() over a move list, validating each step against the model."""
+    """Fold the update over a move list on one cleared mask, validating each
+    step against the model."""
     state = initial_state(g, lions)
     states = [state]
     applied = []
-    full = frozenset(range(g.n))
-    if stop_on_sweep and state.cleared == full:
+    adj_masks = g.neighbor_masks
+    full = (1 << g.n) - 1
+    cleared = vertex_mask(state.cleared, g.n)
+    if stop_on_sweep and cleared == full:
         return Trace(tuple(states), tuple(applied))
     for i, mv in enumerate(moves):
         mv = tuple(mv)
         violations = validate_moves(g, model, state, mv)
         if violations:
             raise InvalidMoveError(i, violations)
-        state = step(g, state, mv)
+        positions, cleared = _advance(adj_masks, state.lions, cleared, mv)
+        state = SimState(i + 1, positions, frozenset(mask_vertices(cleared)))
         states.append(state)
         applied.append(mv)
-        if stop_on_sweep and state.cleared == full:
+        if stop_on_sweep and cleared == full:
             break
     return Trace(tuple(states), tuple(applied))
 
@@ -215,8 +218,9 @@ def write_trace(tr: Trace, path) -> None:
 
 def read_trace(path) -> Trace:
     """Read a write_trace file; t must be an integer and lions, cleared and
-    move lists of integers (JSON true and false are not), t must rise by one
-    per record and the lion count must not change."""
+    move lists of integers (JSON true and false are not). Record i has t=i,
+    the t=0 record alone has a null move, and the lion count and the length
+    of every later move equal the first record's lion count."""
     states = []
     moves = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -233,16 +237,19 @@ def read_trace(path) -> Trace:
                     and (move is None or _is_int_list(move))):
                 raise ParseError("trace record lions, cleared and move must be lists of integers",
                                  lineno)
-            if type(t) is not int or states and t != states[-1].time + 1:
-                raise ParseError(f"trace record t={t!r} does not follow the last", lineno)
-            if states and len(lions) != len(states[0].lions):
-                raise ParseError(f"trace record has {len(lions)} lions, "
-                                 f"the first record has {len(states[0].lions)}", lineno)
-            states.append(SimState(t, tuple(lions), frozenset(cleared)))
-            if move is not None:
+            if type(t) is not int or t != len(states):
+                raise ParseError(f"trace record t={t!r} should be t={len(states)}", lineno)
+            if (move is None) != (not states):
+                raise ParseError("the t=0 record, and no other, must have a null move", lineno)
+            if states:
+                k = len(states[0].lions)
+                if len(lions) != k or len(move) != k:
+                    raise ParseError(f"trace record has {len(lions)} lions and a move for "
+                                     f"{len(move)}, the first record has {k} lions", lineno)
                 moves.append(tuple(move))
-    if len(states) != len(moves) + 1:
-        raise ParseError("trace must be an initial state plus move/state pairs", 1)
+            states.append(SimState(t, tuple(lions), frozenset(cleared)))
+    if not states:
+        raise ParseError("trace has no records", 1)
     return Trace(tuple(states), tuple(moves))
 
 

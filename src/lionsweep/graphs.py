@@ -91,19 +91,25 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]],
     return Graph(n, tuple(frozenset(s) for s in nbrs), coords, family)
 
 
+def _lattice(coords: tuple, offsets, family: str) -> Graph:
+    """The graph on the grid coordinates joining each (r, c) to every
+    (r + dr, c + dc) among them, for (dr, dc) in offsets."""
+    idx = {rc: i for i, rc in enumerate(coords)}
+    edges = []
+    for dr, dc in offsets:
+        for (r, c), i in idx.items():
+            j = idx.get((r + dr, c + dc))
+            if j is not None:
+                edges.append((i, j))
+    return make_graph(len(coords), edges, coords, family)
+
+
 def build_square_grid(n: int) -> Graph:
     """The n x n square grid graph S_n, n vertices per side."""
     if n < 1:
         raise ValueError("square grid needs n >= 1")
     coords = tuple((r, c) for r in range(1, n + 1) for c in range(1, n + 1))
-    idx = {rc: i for i, rc in enumerate(coords)}
-    edges = []
-    for (r, c), i in idx.items():
-        if c + 1 <= n:
-            edges.append((i, idx[(r, c + 1)]))
-        if r + 1 <= n:
-            edges.append((i, idx[(r + 1, c)]))
-    return make_graph(n * n, edges, coords, "square")
+    return _lattice(coords, ((0, 1), (1, 0)), "square")
 
 
 def build_tri_lattice(n: int, l: int) -> Graph:
@@ -116,16 +122,7 @@ def build_tri_lattice(n: int, l: int) -> Graph:
     if n < 1 or l < 1:
         raise ValueError("triangulated parallelogram needs n, l >= 1")
     coords = tuple((r, c) for r in range(1, n + 1) for c in range(1, l + 1))
-    idx = {rc: i for i, rc in enumerate(coords)}
-    edges = []
-    for (r, c), i in idx.items():
-        if c + 1 <= l:
-            edges.append((i, idx[(r, c + 1)]))
-        if r + 1 <= n:
-            edges.append((i, idx[(r + 1, c)]))
-        if r - 1 >= 1 and c + 1 <= l:
-            edges.append((i, idx[(r - 1, c + 1)]))
-    return make_graph(n * l, edges, coords, "tri_lattice")
+    return _lattice(coords, ((0, 1), (1, 0), (-1, 1)), "tri_lattice")
 
 
 def build_triangle(n: int) -> Graph:
@@ -136,15 +133,7 @@ def build_triangle(n: int) -> Graph:
     if n < 1:
         raise ValueError("triangular grid needs n >= 1")
     coords = tuple((r, i) for r in range(1, n + 1) for i in range(1, r + 1))
-    idx = {rc: v for v, rc in enumerate(coords)}
-    edges = []
-    for (r, i), v in idx.items():
-        if i + 1 <= r:
-            edges.append((v, idx[(r, i + 1)]))
-        if r + 1 <= n:
-            edges.append((v, idx[(r + 1, i)]))
-            edges.append((v, idx[(r + 1, i + 1)]))
-    return make_graph(n * (n + 1) // 2, edges, coords, "triangle")
+    return _lattice(coords, ((0, 1), (1, 0), (1, 1)), "triangle")
 
 
 def build_circulant(n: int, k: int) -> Graph:

@@ -92,7 +92,7 @@ class FallDownReport:
     n: int
     subsets_checked: int
     monotone_violations: tuple  # subsets whose image gained boundary vertices
-    boundary_match_violations: tuple  # images whose S_n and R_n boundaries differ
+    boundary_match_violations: tuple  # subsets whose image has differing S_n and R_n boundaries
 
     @property
     def ok(self) -> bool:

@@ -37,10 +37,6 @@ class SearchVerdict:
     peak_frontier: int = 0
     detail: str = ""
 
-    @property
-    def cleared(self) -> bool:
-        return self.status == "cleared"
-
 
 def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
     """Resolve the start policy into concrete sorted position tuples.
@@ -243,16 +239,17 @@ def verify_lemma_bounds(g: Graph, trace: Trace) -> LemmaReport:
             violations.append((a.time, "boundary-stall",
                                f"boundary >= 2k={2 * k} yet |C| grew by {growth}"))
         if replaying:  # until the first divergence, record a is the replayed state
-            targets = tuple(p if t == STAY else t for p, t in zip(a.lions, mv))
             if dynamics.validate_moves(g, "free", a, mv):
                 detail = f"move {list(mv)} is not a step to adjacent vertices"
-            elif targets != b.lions:
-                detail = f"lions {list(b.lions)}, replay gives {list(targets)}"
-            else:  # via the dynamics namespace: per-namespace call counts keep search's apart
-                frame = dynamics.exposure(g.neighbor_masks, a.lions, cleared)
-                replayed = dynamics.step_cleared_mask(frame, targets)
-                detail = "" if replayed == next_cleared else \
-                    f"cleared {sorted(b.cleared)}, replay gives {list(mask_vertices(replayed))}"
+            else:
+                positions, replayed = dynamics._advance(g.neighbor_masks, a.lions, cleared, mv)
+                if positions != b.lions:
+                    detail = f"lions {list(b.lions)}, replay gives {list(positions)}"
+                elif replayed != next_cleared:
+                    detail = f"cleared {sorted(b.cleared)}, " \
+                             f"replay gives {list(mask_vertices(replayed))}"
+                else:
+                    detail = ""
             if detail:
                 violations.append((b.time, "replay", detail))
                 replaying = False

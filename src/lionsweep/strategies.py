@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Sequence
 
-from .dynamics import STAY, initial_state, step
+from .dynamics import STAY, run, step
 from .errors import InfeasibleWalkError, WalkParityError, WalkTooShortError
 from .graphs import Graph, build_tri_lattice, check_vertices
 
@@ -171,9 +171,7 @@ def row_sweep_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     # Hold until leftover cleared debris from the gathering walk has
     # recontaminated; the sweep's monotonicity argument starts from a state
     # where only the occupied column is cleared.
-    state = initial_state(g, tuple(starts))
-    for mv in moves:
-        state = step(g, state, mv)
+    state = run(g, "free", starts, moves).final()
     stay = tuple([STAY] * n)
     for _ in range(g.n + 1):
         nxt = step(g, state, stay)

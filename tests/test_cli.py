@@ -60,12 +60,13 @@ def test_simulate_stop_on_sweep_truncates(tmp_path, r3_path, capsys):
     assert len(read_trace(trace_out).moves) < len(padded)
 
 
-def test_simulate_caffeinated_stay_rejected(tmp_path, r3_path):
+def test_simulate_caffeinated_stay_rejected(tmp_path, r3_path, capsys):
     moves = tmp_path / "moves.txt"
     write_moves([(1, STAY, 7)], moves)
     code = main(["simulate", str(r3_path), "--model", "caffeinated",
                  "--lions", "0,3,6", "--moves", str(moves)])
     assert code == 2
+    assert "invalid move at step 0" in capsys.readouterr().err
 
 
 def test_simulate_not_swept(tmp_path, r3_path, capsys):
@@ -147,7 +148,9 @@ def test_verify_rejects_lions_off_the_graph(tmp_path, capsys):
     assert "vertex -1 not in graph with 4 vertices" in capsys.readouterr().err
     _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
                            {"t": 1, "lions": [1], "cleared": [1], "move": [1, 2]}])
+    capsys.readouterr()
     assert main(["verify", str(r2), "--trace", str(trace)]) == 2  # a move for two lions
+    assert "line 2" in capsys.readouterr().err
     _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
                            {"t": 1, "lions": [3], "cleared": [3], "move": [3]}])
     capsys.readouterr()
@@ -167,6 +170,23 @@ def test_verify_rejects_records_that_are_not_integer_lists(tmp_path, capsys, rec
     trace = tmp_path / "bad.jsonl"
     _write_records(trace, [record])
     assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+
+
+@pytest.mark.parametrize("records", [
+    # the move to the t=1 state written on the t=0 record
+    [{"t": 0, "lions": [0], "cleared": [0], "move": [1]},
+     {"t": 1, "lions": [1], "cleared": [1], "move": None}],
+    # a trace that starts at t=5
+    [{"t": 5, "lions": [0], "cleared": [0], "move": None},
+     {"t": 6, "lions": [1], "cleared": [1], "move": [1]}]])
+def test_verify_rejects_misplaced_moves_and_times(tmp_path, capsys, records):
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    trace = tmp_path / "bad.jsonl"
+    _write_records(trace, records)
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 def test_simulate_rejects_boolean_moves(tmp_path):

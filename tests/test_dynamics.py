@@ -80,8 +80,13 @@ def test_step_swap_blocks_edge():
 
 
 def test_step_rejects_non_adjacent():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidMoveError) as exc:
         step(PATH3, initial_state(PATH3, (0,)), (2,))
+    assert (exc.value.step_index, exc.value.violations) == (0, [(0, "not-adjacent")])
+    later = step(PATH3, step(PATH3, initial_state(PATH3, (0,)), (1,)), (2,))
+    with pytest.raises(InvalidMoveError) as exc:
+        step(PATH3, later, (0,))
+    assert exc.value.step_index == later.time == 2
 
 
 def test_run_and_is_swept():
@@ -159,33 +164,57 @@ def test_step_matches_reference_rule(rng):
             assert state.cleared == expected
 
 
+def draw_move(draw, g, model, positions) -> tuple:
+    """One move step of the motion model for lions at positions."""
+    if model == "caffeinated":
+        return tuple(draw(st.sampled_from(sorted(g.adj[p]))) for p in positions)
+    if model == "free":
+        return tuple(draw(st.sampled_from([STAY] + sorted(g.adj[p]))) for p in positions)
+    mv = [STAY] * len(positions)  # polite: everyone stays, or one lion moves
+    i = draw(st.integers(-1, len(positions) - 1))
+    if i >= 0:
+        mv[i] = draw(st.sampled_from(sorted(g.adj[positions[i]])))
+    return tuple(mv)
+
+
+def draw_connected_graph(draw, n):
+    """A random spanning tree on n vertices plus up to n more edges."""
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return make_graph(n, edges)
+
+
+@st.composite
+def move_lists(draw):
+    """A connected graph, a motion model, lion starts and a list of move
+    steps that are valid under the model."""
+    g = draw_connected_graph(draw, draw(st.integers(2, 7)))
+    model = draw(st.sampled_from(MODELS))
+    lions = tuple(draw(st.lists(st.integers(0, g.n - 1), max_size=3)))
+    positions, moves = lions, []
+    for _ in range(draw(st.integers(0, 8))):
+        mv = draw_move(draw, g, model, positions)
+        moves.append(mv)
+        positions = tuple(p if t == STAY else t for p, t in zip(positions, mv))
+    return g, model, lions, moves
+
+
 @st.composite
 def kernel_cases(draw):
     """A connected graph, a cleared set (mostly holding the lions), lions in
     any order, often several on one vertex, and one move step of a drawn
     motion model."""
     n = draw(st.integers(2, 9))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}  # a spanning tree
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
-    g = make_graph(n, edges)
+    g = draw_connected_graph(draw, n)
     spots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
     lions = draw(st.permutations(draw(st.lists(st.sampled_from(spots), min_size=1,
                                                max_size=4))))
     cleared = frozenset(draw(st.sets(st.integers(0, n - 1))))
     if draw(st.booleans()):  # as in every reachable state; else some may stand uncleared
         cleared |= frozenset(lions)
-    model = draw(st.sampled_from(MODELS))
-    if model == "caffeinated":
-        mv = [draw(st.sampled_from(sorted(g.adj[p]))) for p in lions]
-    elif model == "free":
-        mv = [draw(st.sampled_from([STAY] + sorted(g.adj[p]))) for p in lions]
-    else:  # polite: everyone stays, or one lion moves
-        mv = [STAY] * len(lions)
-        i = draw(st.integers(-1, len(lions) - 1))
-        if i >= 0:
-            mv[i] = draw(st.sampled_from(sorted(g.adj[lions[i]])))
-    return g, cleared, tuple(lions), tuple(mv)
+    mv = draw_move(draw, g, draw(st.sampled_from(MODELS)), lions)
+    return g, cleared, tuple(lions), mv
 
 
 # two lions on vertex 1, apart in the tuple, block both of its contaminated neighbors
@@ -198,6 +227,26 @@ def test_two_part_kernel_matches_reference_rule(case):
     frame = exposure(g.neighbor_masks, lions, vertex_mask(cleared, g.n))
     expected = reference_cleared_update(g, cleared, lions, mv)
     assert step_cleared_mask(frame, targets) == vertex_mask(expected, g.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(move_lists(), st.booleans())
+def test_run_is_the_fold_of_step_and_of_the_reference_rule(case, stop_on_sweep):
+    g, model, lions, moves = case
+    full = frozenset(range(g.n))
+    state = initial_state(g, lions)
+    states = [state]
+    for mv in moves:
+        if stop_on_sweep and state.cleared == full:
+            break
+        expected = reference_cleared_update(g, state.cleared, state.lions, mv)
+        state = step(g, state, mv)
+        assert state.lions == tuple(p if t == STAY else t for p, t in zip(states[-1].lions, mv))
+        assert state.cleared == expected
+        states.append(state)
+    tr = run(g, model, lions, moves, stop_on_sweep=stop_on_sweep)
+    assert tr.states == tuple(states)
+    assert tr.moves == tuple(moves[:len(states) - 1])
 
 
 def test_lemma_bounds_on_random_traces(rng):
@@ -248,7 +297,8 @@ def test_trace_serialization_round_trip(tmp_path):
 @pytest.mark.parametrize("field, value", [("t", 5), ("lions", [0]), ("move", 5),
                                           ("lions", ["a", 0]), ("cleared", ["x"]),
                                           ("lions", [True, 0]), ("cleared", [False]),
-                                          ("move", [False, STAY])])
+                                          ("move", [False, STAY]), ("move", None),
+                                          ("move", [1])])
 def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
     g = build_tri_lattice(2, 3)
     tr = run(g, "free", (0, 3), [(1, STAY), (2, 4)])
@@ -256,8 +306,9 @@ def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
     write_trace(tr, path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[2])
-    rec[field] = value  # t no longer follows t=1, a lion vanished, or not integer lists
-    # (json reads true and false as bools, which isinstance counts as integers)
+    rec[field] = value  # t no longer follows t=1, a lion vanished, not integer lists
+    # (json reads true and false as bools, which isinstance counts as integers),
+    # a null move after t=0, or a move for one of the two lions
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
