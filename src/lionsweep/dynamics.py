@@ -13,7 +13,7 @@ a vertex a lion vacates can recontaminate in the same step.
 
 The rule is computed in two parts, which _advance() uses back to back for
 step(), run() and verify's replay, and the search once per state and once
-per successor:
+per successor of a polite state or of a frame with vacancies:
 
     exposure(), per state:  Safe, the cleared vertices with no contaminated
         neighbor, and the vacancies, the cleared lion positions v whose
@@ -27,6 +27,10 @@ u, since one going from u to v would put v in Occ'.  Every lion stands on a
 cleared vertex in each state reachable from initial_state(), as Occ' is
 cleared; exposure() still skips a lion on a contaminated vertex, which the
 rule never clears unless a lion ends the step there.
+
+A frame with no vacancy gives exactly Safe | Occ', whichever lion went
+where, so the search computes the successors of such a free or caffeinated
+frame in one batch from the targets' multisets, without a call per move.
 """
 from __future__ import annotations
 
@@ -156,7 +160,9 @@ def step_cleared_mask(frame, targets) -> int:
 
 
 class InvalidMoveError(ValueError):
-    """Raised by step() and run() when a move fails validation; carries the step index."""
+    """Raised by step() and run() when a move fails validation; carries the step
+    index and validate_moves' violations, or for a step of the wrong length in
+    run() a description of it."""
 
     def __init__(self, step_index: int, violations):
         super().__init__(f"invalid move at step {step_index}: {violations}")
@@ -178,6 +184,8 @@ def run(g: Graph, model: str, lions: Sequence, moves: Iterable,
         return Trace(tuple(states), tuple(applied))
     for i, mv in enumerate(moves):
         mv = tuple(mv)
+        if len(mv) != len(state.lions):  # validate_moves raises a bare ValueError on this
+            raise InvalidMoveError(i, f"{len(mv)} targets for {len(state.lions)} lions")
         violations = validate_moves(g, model, state, mv)
         if violations:
             raise InvalidMoveError(i, violations)

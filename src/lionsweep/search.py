@@ -1,10 +1,19 @@
 """Exhaustive solver: can k lions under a motion model sweep the graph?
 
-Breadth-first reachability over Markov states (sorted lion multiset, cleared
-set as a bitmask), deduplicating visited states and optionally discarding
-states whose cleared set is dominated by an already-seen state with the same
-lion positions (sound because the update rule is monotone in the cleared set).
+Breadth-first reachability over Markov states (lion multiset, cleared set),
+deduplicating visited states and optionally discarding states whose cleared
+set is dominated by an already-seen state with the same lion positions
+(sound because the update rule is monotone in the cleared set).
 Single-threaded and deterministic: moves are enumerated in sorted order.
+
+A state is one int, cleared | the sum of code[p] over the lion positions p,
+with code[v] = 1 << (n + v * k.bit_length()): the cleared mask in the low n
+bits, and above them a count of the lions on each vertex, so the key does
+not depend on the lions' order (_KeyCodes). A key offered once is never
+admitted again, so one set of offered keys rejects repeats before any
+dominance work; the frontier, the parent links and the per-position
+antichains hold keys, and a state's positions are decoded when it is
+expanded.
 """
 from __future__ import annotations
 
@@ -74,19 +83,75 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
     return out
 
 
-def _move_choices(model: str, positions, sorted_adj) -> Iterator[tuple]:
+def _move_choices(model: str, positions: tuple, sorted_adj) -> Iterator[tuple]:
     """Deterministic enumeration of target tuples aligned with the sorted positions."""
     if model == "caffeinated":
         return itertools.product(*(sorted_adj[p] for p in positions))
     if model == "free":
         return itertools.product(*((p,) + sorted_adj[p] for p in positions))
     # polite: everyone stays, or exactly one lion moves
-    def gen():
-        yield tuple(positions)
-        for i, p in enumerate(positions):
-            for t in sorted_adj[p]:
-                yield tuple(positions[:i]) + (t,) + tuple(positions[i + 1:])
-    return gen()
+    return itertools.chain((positions,), (positions[:i] + (t,) + positions[i + 1:]
+                                          for i, p in enumerate(positions)
+                                          for t in sorted_adj[p]))
+
+
+class _KeyCodes(dict):
+    """The codes behind the state keys of one search with k lions on the graph
+    with sorted adjacency lists sorted_adj: code[v], the codes of each vertex's
+    neighbours, and, as a dict, each sum pc of codes -> pc | the mask of the
+    vertices pc occupies, worked out on its first lookup. Counts of at most k
+    lions fit the b = k.bit_length() bits per vertex."""
+
+    def __init__(self, sorted_adj, k: int):
+        super().__init__()
+        self.n = len(sorted_adj)
+        self.b = k.bit_length()
+        self.code = tuple(1 << (self.n + v * self.b) for v in range(self.n))
+        self.adj_codes = tuple(tuple(map(self.code.__getitem__, nbrs)) for nbrs in sorted_adj)
+
+    def positions(self, key: int) -> tuple:
+        """The sorted lion positions of a key."""
+        b = self.b
+        x = key >> self.n
+        out = ()
+        while x:
+            shift = (x & -x).bit_length() - 1
+            shift -= shift % b
+            lions = x >> shift & ((1 << b) - 1)
+            out += (shift // b,) * lions
+            x ^= lions << shift
+        return out
+
+    def __missing__(self, pc: int) -> int:
+        key = pc | vertex_mask(set(self.positions(pc)), self.n)
+        self[pc] = key
+        return key
+
+
+def _successor_keys(frame, model: str, positions: tuple, sorted_adj,
+                    codes: _KeyCodes) -> Iterator[int]:
+    """The keys of the states after each move of _move_choices, in its order,
+    from the state at positions whose exposure frame is given.
+
+    A free or caffeinated frame with no vacancy clears exactly Safe | Occ',
+    so its keys depend on the multiset of targets alone: safe | codes[pc]
+    with pc the sum of the targets' codes, computed in C over the product of
+    each lion's choices. Other frames call step_cleared_mask per move.
+    """
+    safe, vacancies = frame
+    code, adj_codes = codes.code, codes.adj_codes
+    if model == "polite":
+        pc = sum(map(code.__getitem__, positions))
+        pcs = itertools.chain((pc,), *(map((pc - code[p]).__add__, adj_codes[p])
+                                       for p in positions))
+    else:
+        stay = model == "free"
+        pcs = map(sum, itertools.product(*(((code[p],) + adj_codes[p]) if stay else adj_codes[p]
+                                           for p in positions)))
+        if not vacancies:
+            return map(safe.__or__, map(codes.__getitem__, pcs))
+    return map(int.__or__, map(step_cleared_mask, itertools.repeat(frame),
+                               _move_choices(model, positions, sorted_adj)), pcs)
 
 
 def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
@@ -100,40 +165,37 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     if k < 0:
         raise ValueError("lion count must be >= 0")
     limits = limits or SearchLimits()
+    max_states, dominance = limits.max_states, limits.dominance_pruning
+    n = g.n
     adj_masks = g.neighbor_masks
-    sorted_adj = tuple(tuple(sorted(g.adj[v])) for v in range(g.n))
-    full = (1 << g.n) - 1
+    sorted_adj = tuple(tuple(sorted(g.adj[v])) for v in range(n))
+    full = (1 << n) - 1
+    codes = _KeyCodes(sorted_adj, k)
 
     start_list = _start_tuples(g, k, model, starts)
-    visited: dict = {}
-    parents: dict = {}  # every admitted state, so len(parents) counts them
+    offered = set()  # every key ever offered: none of them can be admitted again
+    antichains: dict = {}  # position code -> maximal cleared masks admitted there
+    parents: dict = {}  # admitted key -> parent key, so len(parents) counts them
     frontier: deque = deque()
     peak = 0
 
-    def admit(key, parent_key, targets) -> bool:
-        pos, cl = key
-        if limits.dominance_pruning:
-            lst = visited.get(pos)
-            if lst is None:
-                visited[pos] = [cl]
-            else:
-                for m in lst:
-                    if cl | m == m:  # cl subset of an explored cleared set
-                        return False
-                visited[pos] = [m for m in lst if m | cl != cl] + [cl]
-        elif key in parents:
-            return False
-        parents[key] = (parent_key, targets)
-        return True
+    def expand(key: int):
+        positions = codes.positions(key)
+        frame = exposure(adj_masks, positions, key & full)
+        return positions, _successor_keys(frame, model, positions, sorted_adj, codes)
 
-    def witness(key) -> Trace:
+    def witness(key: int) -> Trace:
+        # a key is admitted at its first offer, so its parent's first move
+        # giving it is the move that was searched
         hops = []
-        while parents[key][0] is not None:
-            parent_key, targets = parents[key]
-            hops.append((parent_key[0], targets))
-            key = parent_key
+        while parents[key] is not None:
+            parent_positions, keys = expand(parents[key])
+            moves = _move_choices(model, parent_positions, sorted_adj)
+            hops.append((parent_positions, next(t for t, child in zip(moves, keys)
+                                                if child == key)))
+            key = parents[key]
         hops.reverse()
-        start_positions = key[0]
+        start_positions = codes.positions(key)
         actual = list(start_positions)
         steps = []
         for prev_sorted, targets in hops:
@@ -148,28 +210,54 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         return run(g, model, start_positions, steps)
 
     for spos in start_list:
-        cl0 = vertex_mask(spos, g.n)
-        key = (spos, cl0)
+        cl0 = vertex_mask(spos, n)
         if cl0 == full:
             return SearchVerdict("cleared", run(g, model, spos, []), 1, 1)
-        if admit(key, None, None):
+        pc = sum(map(codes.code.__getitem__, spos))
+        key = pc | cl0
+        if key not in offered:  # starts on the same positions have the same cleared set
+            offered.add(key)
+            antichains[pc] = [cl0]
+            parents[key] = None
             frontier.append(key)
 
     while frontier:
         peak = max(peak, len(frontier))
-        positions, cleared = frontier.popleft()
-        frame = exposure(adj_masks, positions, cleared)
-        for targets in _move_choices(model, positions, sorted_adj):
-            new_cleared = step_cleared_mask(frame, targets)
-            new_key = (tuple(sorted(targets)), new_cleared)
-            if new_cleared == full:
-                parents[new_key] = ((positions, cleared), targets)
-                return SearchVerdict("cleared", witness(new_key), len(parents), peak)
-            if len(parents) >= limits.max_states:
-                return SearchVerdict("unknown", None, len(parents), peak,
-                                     f"state limit {limits.max_states} reached")
-            if admit(new_key, (positions, cleared), targets):
+        key = frontier.popleft()
+        successors = expand(key)[1]
+        if len(parents) < max_states:
+            for new_key in itertools.filterfalse(offered.__contains__, successors):
+                new_cleared = new_key & full
+                if new_cleared == full:
+                    parents[new_key] = key
+                    return SearchVerdict("cleared", witness(new_key), len(parents), peak)
+                offered.add(new_key)
+                if dominance:
+                    pc = new_key ^ new_cleared
+                    masks = antichains.get(pc)
+                    if masks is None:
+                        antichains[pc] = [new_cleared]
+                    elif any(new_cleared | m == m for m in masks):
+                        continue
+                    else:
+                        antichains[pc] = [m for m in masks if m | new_cleared != new_cleared]
+                        antichains[pc].append(new_cleared)
+                parents[new_key] = key
                 frontier.append(new_key)
+                if len(parents) >= max_states:
+                    break
+            else:
+                continue
+        # the state limit is reached: the next successor offered, repeats
+        # included, ends the search, as cleared only if it clears the graph
+        new_key = next(successors, None)
+        if new_key is None:
+            continue
+        if new_key & full == full:
+            parents[new_key] = key
+            return SearchVerdict("cleared", witness(new_key), len(parents), peak)
+        return SearchVerdict("unknown", None, len(parents), peak,
+                             f"state limit {max_states} reached")
 
     return SearchVerdict("impossible", None, len(parents), peak)
 

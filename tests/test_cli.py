@@ -69,6 +69,16 @@ def test_simulate_caffeinated_stay_rejected(tmp_path, r3_path, capsys):
     assert "invalid move at step 0" in capsys.readouterr().err
 
 
+def test_simulate_names_the_step_of_wrong_length(tmp_path, capsys):
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    moves = tmp_path / "moves.txt"
+    write_moves([(1,), (3, 2)], moves)
+    capsys.readouterr()
+    assert main(["simulate", str(r2), "--lions", "0", "--moves", str(moves)]) == 2
+    assert "invalid move at step 1: 2 targets for 1 lions" in capsys.readouterr().err
+
+
 def test_simulate_not_swept(tmp_path, r3_path, capsys):
     moves = tmp_path / "moves.txt"
     write_moves([(STAY, STAY, STAY)], moves)

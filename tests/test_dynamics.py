@@ -102,6 +102,9 @@ def test_run_and_is_swept():
     with pytest.raises(InvalidMoveError) as exc:
         run(PATH3, "caffeinated", (1,), [(0,), (STAY,)])
     assert exc.value.step_index == 1
+    with pytest.raises(InvalidMoveError) as exc:  # validate_moves raises a bare ValueError
+        run(PATH3, "free", (1,), [(0,), (1, 2)])
+    assert exc.value.step_index == 1
 
 
 def test_run_stop_on_sweep():

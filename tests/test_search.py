@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph
-from lionsweep.dynamics import (STAY, SimState, Trace, initial_state, is_swept, run, step,
-                                validate_moves)
+from conftest import random_connected_graph, small_graphs
+from lionsweep.dynamics import (STAY, SimState, Trace, exposure, initial_state, is_swept, run,
+                                step, step_cleared_mask, validate_moves)
 from lionsweep.graphs import (build_circulant, build_square_grid, build_tri_lattice,
-                              build_triangle, make_graph)
-from lionsweep.search import (SearchLimits, can_clear, min_lions, verify_lemma_bounds)
+                              build_triangle, make_graph, vertex_mask)
+from lionsweep.search import (SearchLimits, _KeyCodes, _move_choices, _successor_keys, can_clear,
+                              min_lions, verify_lemma_bounds)
 
 R2 = build_tri_lattice(2, 2)
 R3 = build_tri_lattice(3, 3)
@@ -63,34 +64,98 @@ def test_witness_replays_with_model_validation():
 R4 = build_tri_lattice(4, 4)
 P4 = build_triangle(4)
 C82 = build_circulant(8, 2)
+SQ3 = build_square_grid(3)
 
 
 # (status, states_explored, peak_frontier, witness steps), with dominance
 # pruning on and, where that search takes under a second, off: any change to
 # the update kernel or the successor order that alters exploration shows here
-@pytest.mark.parametrize("g, model, k, dominance, expected", [
-    (R3, "free", 3, True, ("cleared", 926, 513, 5)),
-    (R3, "free", 3, False, ("cleared", 1223, 680, 5)),
-    (R3, "caffeinated", 3, True, ("cleared", 1554, 488, 7)),
-    (R3, "caffeinated", 3, False, ("cleared", 1988, 707, 7)),
-    (R4, "free", 3, True, ("impossible", 4241, 876, None)),
-    (R4, "polite", 4, True, ("cleared", 14847, 3154, 18)),
-    (P4, "free", 3, True, ("cleared", 3069, 507, 12)),
-    (P4, "free", 3, False, ("cleared", 4002, 685, 12)),
-    (C82, "polite", "min", True, ("cleared", 417, 141, 7)),
-    (C82, "polite", "min", False, ("cleared", 444, 157, 7)),
+@pytest.mark.parametrize("g, model, k, starts, dominance, expected", [
+    (R3, "free", 3, "canonical", True, ("cleared", 926, 513, 5)),
+    (R3, "free", 3, "canonical", False, ("cleared", 1223, 680, 5)),
+    (R3, "caffeinated", 3, "canonical", True, ("cleared", 1554, 488, 7)),
+    (R3, "caffeinated", 3, "canonical", False, ("cleared", 1988, 707, 7)),
+    (R4, "free", 3, "canonical", True, ("impossible", 4241, 876, None)),
+    (R4, "free", 3, "canonical", False, ("impossible", 4766, 1007, None)),
+    (R4, "polite", 4, "canonical", True, ("cleared", 14847, 3154, 18)),
+    (P4, "free", 3, "canonical", True, ("cleared", 3069, 507, 12)),
+    (P4, "free", 3, "canonical", False, ("cleared", 4002, 685, 12)),
+    (C82, "polite", "min", "canonical", True, ("cleared", 417, 141, 7)),
+    (C82, "polite", "min", "canonical", False, ("cleared", 444, 157, 7)),
+    # a repeated vertex, and two start tuples that sort to one
+    (R3, "free", 3, [(4, 0, 4), (4, 4, 0)], True, ("cleared", 1084, 446, 5)),
+    # bipartite: one start tuple per split of the lions between the colour classes
+    (SQ3, "caffeinated", 4, "canonical", True, ("cleared", 661, 483, 3)),
+    (R3, "free", 0, "canonical", True, ("impossible", 1, 1, None)),
 ], ids=["R3-free", "R3-free-nodom", "R3-caffeinated", "R3-caffeinated-nodom", "R4-free",
-        "R4-polite", "P4-free", "P4-free-nodom", "C82-polite-min", "C82-polite-min-nodom"])
-def test_search_counts_are_pinned(g, model, k, dominance, expected):
+        "R4-free-nodom", "R4-polite", "P4-free", "P4-free-nodom", "C82-polite-min",
+        "C82-polite-min-nodom", "R3-free-repeated-starts", "SQ3-caffeinated-bipartite",
+        "R3-no-lions"])
+def test_search_counts_are_pinned(g, model, k, starts, dominance, expected):
     limits = SearchLimits(dominance_pruning=dominance)
     if k == "min":
         result = min_lions(g, model, 4, limits)
         assert result.k == 4
         verdict = result.verdict
     else:
-        verdict = can_clear(g, k, model, limits=limits)
+        verdict = can_clear(g, k, model, starts, limits)
     steps = len(verdict.trace.moves) if verdict.trace else None
     assert (verdict.status, verdict.states_explored, verdict.peak_frontier, steps) == expected
+
+
+# (status, states_explored, peak_frontier, detail) at state limits around the
+# unlimited count S: once the admitted count reaches the limit, the next
+# successor offered, a repeat included, ends the search, as cleared only if
+# it clears the graph (so R3 at S - 1 is unknown, C82 at S - 1 cleared)
+@pytest.mark.parametrize("g, model, k, dominance, max_states, expected", [
+    (R3, "free", 3, True, 1, ("unknown", 1, 1, "state limit 1 reached")),
+    (R3, "free", 3, True, 2, ("unknown", 2, 1, "state limit 2 reached")),
+    (R3, "free", 3, True, 925, ("unknown", 925, 513, "state limit 925 reached")),
+    (R3, "free", 3, True, 926, ("cleared", 926, 513, "")),
+    (R3, "free", 3, True, 927, ("cleared", 926, 513, "")),
+    (R3, "free", 3, False, 1, ("unknown", 1, 1, "state limit 1 reached")),
+    (R3, "free", 3, False, 2, ("unknown", 2, 1, "state limit 2 reached")),
+    (R3, "free", 3, False, 1222, ("unknown", 1222, 680, "state limit 1222 reached")),
+    (R3, "free", 3, False, 1223, ("cleared", 1223, 680, "")),
+    (R3, "free", 3, False, 1224, ("cleared", 1223, 680, "")),
+    (C82, "polite", 4, True, 1, ("unknown", 1, 1, "state limit 1 reached")),
+    (C82, "polite", 4, True, 2, ("unknown", 2, 1, "state limit 2 reached")),
+    (C82, "polite", 4, True, 416, ("cleared", 417, 141, "")),
+    (C82, "polite", 4, True, 417, ("cleared", 417, 141, "")),
+    (C82, "polite", 4, True, 418, ("cleared", 417, 141, "")),
+    (C82, "polite", 4, False, 1, ("unknown", 1, 1, "state limit 1 reached")),
+    (C82, "polite", 4, False, 2, ("unknown", 2, 1, "state limit 2 reached")),
+    (C82, "polite", 4, False, 443, ("cleared", 444, 157, "")),
+    (C82, "polite", 4, False, 444, ("cleared", 444, 157, "")),
+    (C82, "polite", 4, False, 445, ("cleared", 444, 157, "")),
+])
+def test_state_limit_edges_are_pinned(g, model, k, dominance, max_states, expected):
+    verdict = can_clear(g, k, model, limits=SearchLimits(max_states, dominance))
+    assert (verdict.status, verdict.states_explored, verdict.peak_frontier,
+            verdict.detail) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.sampled_from(("free", "caffeinated", "polite")), st.data())
+def test_successor_keys_match_the_kernel(g, model, data):
+    """Every move's key, batched or not, is step_cleared_mask's cleared mask
+    plus the position codes of its targets, in _move_choices order, on the
+    state's own frame and on that frame with its vacancies dropped."""
+    if g.n == 0:
+        return
+    k = data.draw(st.integers(0, 3))
+    positions = tuple(sorted(data.draw(st.lists(st.integers(0, g.n - 1), min_size=k,
+                                                max_size=k))))
+    cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
+    sorted_adj = tuple(tuple(sorted(g.adj[v])) for v in range(g.n))
+    codes = _KeyCodes(sorted_adj, k)
+    safe, vacancies = exposure(g.neighbor_masks, positions, cleared)
+    for frame in ((safe, vacancies), (safe, [])):
+        keys = list(_successor_keys(frame, model, positions, sorted_adj, codes))
+        moves = list(_move_choices(model, positions, sorted_adj))
+        assert keys == [step_cleared_mask(frame, t) | sum(codes.code[v] for v in t)
+                        for t in moves]
+        assert [codes.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
 
 
 def test_dominance_pruning_does_not_change_verdicts(rng):
