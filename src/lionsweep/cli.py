@@ -84,7 +84,7 @@ def cmd_strategy(args) -> int:
 def cmd_verify(args) -> int:
     g = graphs.load_graph(args.graph)
     trace = dynamics.read_trace(args.trace)
-    report = search.verify_lemma_bounds(g, trace)
+    report = search.verify_lemma_bounds(g, trace, args.model)
     if report.ok:
         print(f"0 violations over {report.steps_checked} steps")
         return EXIT_OK
@@ -216,6 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="replay a trace and check the growth lemmas on it")
     p.add_argument("graph")
     p.add_argument("--trace", required=True)
+    p.add_argument("--model", choices=dynamics.MODELS, default="free",
+                   help="motion model the replay checks each move against")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive sweepability search")
@@ -261,6 +263,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "search" and not args.min and args.k is None:
         parser.error("search needs -k or --min")
+    if args.command == "search" and args.min and (args.k is not None or args.starts is not None):
+        parser.error("--min searches k = 0..--kmax from canonical starts; "
+                     "it takes neither -k nor --starts")
     try:
         return args.func(args)
     except ResourceLimitError as exc:

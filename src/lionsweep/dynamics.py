@@ -12,8 +12,7 @@ Contamination spreads exactly one hop per step, read off the time-t state;
 a vertex a lion vacates can recontaminate in the same step.
 
 The rule is computed in two parts, which _advance() uses back to back for
-step(), run() and verify's replay, and the search once per state and once
-per successor of a polite state or of a frame with vacancies:
+step(), run() and verify's replay:
 
     exposure(), per state:  Safe, the cleared vertices with no contaminated
         neighbor, and the vacancies, the cleared lion positions v whose
@@ -28,9 +27,9 @@ cleared vertex in each state reachable from initial_state(), as Occ' is
 cleared; exposure() still skips a lion on a contaminated vertex, which the
 rule never clears unless a lion ends the step there.
 
-A frame with no vacancy gives exactly Safe | Occ', whichever lion went
-where, so the search computes the successors of such a free or caffeinated
-frame in one batch from the targets' multisets, without a call per move.
+The search calls exposure() once per state and never step_cleared_mask():
+it reads every successor of a state off the frame in one batch (see
+search._successor_keys), and its tests hold each batch to this kernel.
 """
 from __future__ import annotations
 

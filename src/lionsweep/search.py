@@ -14,16 +14,23 @@ admitted again, so one set of offered keys rejects repeats before any
 dominance work; the frontier, the parent links and the per-position
 antichains hold keys, and a state's positions are decoded when it is
 expanded.
+
+Expanding a state runs dynamics.exposure once and derives every successor
+key from its frame in C-level maps and products (_successor_keys), without
+a step_cleared_mask call per move: a vacancy v stays cleared iff the
+targets of the lions on v cover its exposed mask.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import dynamics
-from .dynamics import STAY, Trace, exposure, initial_state, run, step_cleared_mask
+from .dynamics import STAY, Trace, exposure, initial_state, run
 from .graphs import (Graph, boundary_size_mask, check_vertices, has_odd_cycle, is_connected,
                      mask_vertices, vertex_mask)
 
@@ -108,6 +115,7 @@ class _KeyCodes(dict):
         self.b = k.bit_length()
         self.code = tuple(1 << (self.n + v * self.b) for v in range(self.n))
         self.adj_codes = tuple(tuple(map(self.code.__getitem__, nbrs)) for nbrs in sorted_adj)
+        self.adj_steps = tuple(tuple(self.code[u] | 1 << u for u in nbrs) for nbrs in sorted_adj)
 
     def positions(self, key: int) -> tuple:
         """The sorted lion positions of a key."""
@@ -131,27 +139,64 @@ class _KeyCodes(dict):
 def _successor_keys(frame, model: str, positions: tuple, sorted_adj,
                     codes: _KeyCodes) -> Iterator[int]:
     """The keys of the states after each move of _move_choices, in its order,
-    from the state at positions whose exposure frame is given.
+    from the state at the sorted positions whose exposure frame is given.
 
-    A free or caffeinated frame with no vacancy clears exactly Safe | Occ',
-    so its keys depend on the multiset of targets alone: safe | codes[pc]
-    with pc the sum of the targets' codes, computed in C over the product of
-    each lion's choices. Other frames call step_cleared_mask per move.
+    A move clears Safe | Occ' and each vacancy v whose exposed mask the
+    targets of the lions on v cover. Bit v is one of the low n bits, so
+    adding it to a sum of position codes never carries into the counts, and
+    distinct vacancies are distinct bits.
+
+    Polite: the lion on p moving to t gives safe | Occ, less p if it held
+    p's only lion, | t, and the code sum less code[p] plus code[t]; bit p
+    comes back on the one t with exposed == 1 << t.
+
+    Free and caffeinated: sorted positions make each vertex's lions
+    contiguous, so the product over lions is a product over vertices, with
+    one factor per lion except on a vacancy, whose lions share one factor
+    over their joint targets that adds bit v where they cover exposed. The
+    key of a sum s is safe | codes[s], with the vacancy bits taken off s
+    before the lookup and put back after it, so the cache holds code sums
+    only. All of it runs in C, without a call per move.
     """
     safe, vacancies = frame
-    code, adj_codes = codes.code, codes.adj_codes
+    code = codes.code
+    exposed_at = {v_bit.bit_length() - 1: exposed for v_bit, exposed, _ in vacancies}
     if model == "polite":
+        occ = 0
+        for p in positions:
+            occ |= 1 << p
         pc = sum(map(code.__getitem__, positions))
-        pcs = itertools.chain((pc,), *(map((pc - code[p]).__add__, adj_codes[p])
-                                       for p in positions))
-    else:
-        stay = model == "free"
-        pcs = map(sum, itertools.product(*(((code[p],) + adj_codes[p]) if stay else adj_codes[p]
-                                           for p in positions)))
-        if not vacancies:
-            return map(safe.__or__, map(codes.__getitem__, pcs))
-    return map(int.__or__, map(step_cleared_mask, itertools.repeat(frame),
-                               _move_choices(model, positions, sorted_adj)), pcs)
+        moves = []
+        for p in positions:
+            low, steps = safe | occ, codes.adj_steps[p]
+            if positions.count(p) == 1:
+                low = safe | occ & ~(1 << p)
+                if p in exposed_at:  # one lion: exposed is one neighbour's bit
+                    i = sorted_adj[p].index(exposed_at[p].bit_length() - 1)
+                    steps = steps[:i] + (steps[i] | 1 << p,) + steps[i + 1:]
+            moves.append(map(low.__or__, map((pc - code[p]).__add__, steps)))
+        return itertools.chain((safe | occ | pc,), *moves)
+    stay = model == "free"
+    factors = []
+    for p in dict.fromkeys(positions):
+        m = positions.count(p)
+        choices = ((code[p],) + codes.adj_codes[p]) if stay else codes.adj_codes[p]
+        exposed = exposed_at.get(p)
+        if exposed is None:
+            factors += [choices] * m
+            continue
+        bits = tuple(1 << t for t in (((p,) + sorted_adj[p]) if stay else sorted_adj[p]))
+        joint = zip(map(sum, itertools.product(choices, repeat=m)),
+                    map(functools.reduce, itertools.repeat(operator.or_),
+                        itertools.product(bits, repeat=m)))
+        factors.append(tuple(s + (1 << p) if exposed & covered == exposed else s
+                             for s, covered in joint))
+    sums = map(sum, itertools.product(*factors))
+    if not exposed_at:
+        return map(safe.__or__, map(codes.__getitem__, sums))
+    sums, vacated = itertools.tee(sums)
+    return map(safe.__or__, map(int.__or__, vacated,
+                                map(codes.__getitem__, map((-1 << codes.n).__and__, sums))))
 
 
 def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
@@ -302,14 +347,20 @@ class LemmaReport:
         return not self.violations
 
 
-def verify_lemma_bounds(g: Graph, trace: Trace) -> LemmaReport:
+# what a move breaks, for each reason validate_moves gives
+_BROKEN_RULES = {"not-adjacent": "is not a step to adjacent vertices",
+                 "must-move": "leaves a caffeinated lion in place",
+                 "politeness": "moves more than one polite lion"}
+
+
+def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaReport:
     """Replay the trace from initial_state (a lion off the graph in any
     record, or a move for another number of lions, raises ValueError): the
-    first record whose move is not adjacent, or whose lions or cleared set
-    differ from the replay, is a "replay" violation.  Also
-    check, with k the lion count, |C(t+1)| - |C(t)| <= k and that
-    |boundary(C(t))| >= 2k forces |C(t+1)| <= |C(t)|: proved facts, so a
-    violation means an engine bug or an edited trace.
+    first record whose move validate_moves rejects under the motion model,
+    or whose lions or cleared set differ from the replay, is a "replay"
+    violation.  Also check, with k the lion count, |C(t+1)| - |C(t)| <= k
+    and that |boundary(C(t))| >= 2k forces |C(t+1)| <= |C(t)|: proved
+    facts, so a violation means an engine bug or an edited trace.
     """
     states = trace.states
     check_vertices(g, itertools.chain.from_iterable(s.lions for s in states))
@@ -327,8 +378,10 @@ def verify_lemma_bounds(g: Graph, trace: Trace) -> LemmaReport:
             violations.append((a.time, "boundary-stall",
                                f"boundary >= 2k={2 * k} yet |C| grew by {growth}"))
         if replaying:  # until the first divergence, record a is the replayed state
-            if dynamics.validate_moves(g, "free", a, mv):
-                detail = f"move {list(mv)} is not a step to adjacent vertices"
+            broken = dynamics.validate_moves(g, model, a, mv)
+            if broken:
+                detail = f"move {list(mv)} " + " and ".join(
+                    dict.fromkeys(_BROKEN_RULES[reason] for _, reason in broken))
             else:
                 positions, replayed = dynamics._advance(g.neighbor_masks, a.lions, cleared, mv)
                 if positions != b.lions:

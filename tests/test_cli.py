@@ -113,6 +113,19 @@ def test_search_disconnected_graph(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("cleared")
 
 
+@pytest.mark.parametrize("flags", [["--starts", "0"], ["-k", "1"]])
+def test_search_min_rejects_starts_and_k(tmp_path, capsys, flags):
+    """--min searches every k from canonical starts, so it would drop either
+    flag silently: on this disconnected graph given starts used to read as
+    a refusal of canonical ones."""
+    path = tmp_path / "edge_and_vertex.txt"
+    path.write_text("vertices 3\n0 1\n")
+    with pytest.raises(SystemExit) as err:
+        main(["search", str(path), "--min", "--kmax", "2", *flags])
+    assert err.value.code == 2
+    assert "neither -k nor --starts" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
 def test_search_empty_graph(tmp_path, capsys, model):
     path = tmp_path / "empty.txt"
@@ -166,6 +179,27 @@ def test_verify_rejects_lions_off_the_graph(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(r2), "--trace", str(trace)]) == 10
     assert "t=1 replay: move [3] is not a step to adjacent vertices" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("model, lions, move, detail", [
+    ("polite", [0, 3], [1, 2], "moves more than one polite lion"),
+    ("caffeinated", [0, 3], [1, STAY], "leaves a caffeinated lion in place"),
+])
+def test_verify_checks_the_motion_model(tmp_path, capsys, model, lions, move, detail):
+    """A free trace replays under free, and its first step breaks the rules
+    of the model it is verified under."""
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    moves, trace = tmp_path / "moves.txt", tmp_path / "trace.jsonl"
+    write_moves([move], moves)
+    assert main(["simulate", str(r2), "--lions", ",".join(map(str, lions)),
+                 "--moves", str(moves), "--trace-out", str(trace)]) in (0, 10)
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 0
+    assert main(["verify", str(r2), "--trace", str(trace), "--model", "free"]) == 0
+    assert capsys.readouterr().out == "0 violations over 1 steps\n" * 2
+    assert main(["verify", str(r2), "--trace", str(trace), "--model", model]) == 10
+    assert capsys.readouterr().out == f"t=1 replay: move {move} {detail}\n"
 
 
 @pytest.mark.parametrize("record", [{"t": 0, "lions": [0], "cleared": [0], "move": 5},

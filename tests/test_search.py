@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, small_graphs
+from lionsweep import dynamics, search
 from lionsweep.dynamics import (STAY, SimState, Trace, exposure, initial_state, is_swept, run,
                                 step, step_cleared_mask, validate_moves)
 from lionsweep.graphs import (build_circulant, build_square_grid, build_tri_lattice,
@@ -135,27 +136,74 @@ def test_state_limit_edges_are_pinned(g, model, k, dominance, max_states, expect
             verdict.detail) == expected
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_graphs(), st.sampled_from(("free", "caffeinated", "polite")), st.data())
-def test_successor_keys_match_the_kernel(g, model, data):
-    """Every move's key, batched or not, is step_cleared_mask's cleared mask
-    plus the position codes of its targets, in _move_choices order, on the
-    state's own frame and on that frame with its vacancies dropped."""
-    if g.n == 0:
-        return
-    k = data.draw(st.integers(0, 3))
-    positions = tuple(sorted(data.draw(st.lists(st.integers(0, g.n - 1), min_size=k,
-                                                max_size=k))))
-    cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
+def _assert_keys_match_the_kernel(g, model, positions, cleared):
+    """Every move's key is step_cleared_mask's cleared mask plus the position
+    codes of its targets, in _move_choices order, on the state's own frame
+    and on that frame with its vacancies dropped; returns the moves and the
+    keys on the state's own frame."""
     sorted_adj = tuple(tuple(sorted(g.adj[v])) for v in range(g.n))
-    codes = _KeyCodes(sorted_adj, k)
+    codes = _KeyCodes(sorted_adj, len(positions))
     safe, vacancies = exposure(g.neighbor_masks, positions, cleared)
-    for frame in ((safe, vacancies), (safe, [])):
+    moves = list(_move_choices(model, positions, sorted_adj))
+    for frame in ((safe, []), (safe, vacancies)):
         keys = list(_successor_keys(frame, model, positions, sorted_adj, codes))
-        moves = list(_move_choices(model, positions, sorted_adj))
         assert keys == [step_cleared_mask(frame, t) | sum(codes.code[v] for v in t)
                         for t in moves]
         assert [codes.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
+    return moves, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=9), st.sampled_from(("free", "caffeinated", "polite")), st.data())
+def test_successor_keys_match_the_kernel(g, model, data):
+    """The kernel is the oracle for every key, with up to four lions, and in
+    half the draws the lions share at most two vertices, so that vacancies
+    hold several lions."""
+    if g.n == 0:
+        return
+    k = data.draw(st.integers(0, 4))
+    pool = st.integers(0, g.n - 1)
+    if data.draw(st.booleans()):
+        pool = st.sampled_from(sorted(data.draw(st.sets(pool, min_size=1, max_size=2))))
+    positions = tuple(sorted(data.draw(st.lists(pool, min_size=k, max_size=k))))
+    cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
+    _assert_keys_match_the_kernel(g, model, positions, cleared)
+
+
+# vertex 0 with two lions, cleared, and its neighbours 1 and 2 contaminated;
+# 3 is cleared but has the contaminated neighbour 4, so nothing is safe
+STAR = make_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("model, keeps_0", [
+    ("free", [(1, 2), (2, 1)]),
+    ("caffeinated", [(1, 2), (2, 1)]),
+    ("polite", []),  # one lion always stays on 0
+])
+def test_two_lion_vacancy_with_two_exposed_neighbours(model, keeps_0):
+    """Vertex 0 is a vacancy of two lions whose exposed mask is {1, 2}: it
+    stays cleared once both lions leave it only if they cover 1 and 2."""
+    positions, cleared = (0, 0), 0b1001
+    assert exposure(STAR.neighbor_masks, positions, cleared) == (0, [(1, 0b110, [0, 1])])
+    moves, keys = _assert_keys_match_the_kernel(STAR, model, positions, cleared)
+    assert [t for t, key in zip(moves, keys) if key & 1 and 0 not in t] == keeps_0
+
+
+@pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
+def test_search_never_calls_the_kernel(monkeypatch, model):
+    """The search derives every key from the exposure frame: an impossible
+    search, which builds no witness, makes no step_cleared_mask call, though
+    two lions on R_{3,3} meet vacancies under every model."""
+    calls = []
+
+    def counted(frame, targets):
+        calls.append(targets)
+        return step_cleared_mask(frame, targets)
+
+    monkeypatch.setattr(dynamics, "step_cleared_mask", counted)
+    monkeypatch.setattr(search, "step_cleared_mask", counted, raising=False)
+    assert can_clear(R3, 2, model).status == "impossible"
+    assert calls == []
 
 
 def test_dominance_pruning_does_not_change_verdicts(rng):
