@@ -147,8 +147,8 @@ def _successor_keys(frame, model: str, positions: tuple, sorted_adj,
     distinct vacancies are distinct bits.
 
     Polite: the lion on p moving to t gives safe | Occ, less p if it held
-    p's only lion, | t, and the code sum less code[p] plus code[t]; bit p
-    comes back on the one t with exposed == 1 << t.
+    p's only lion, | t, and the code sum less code[p] plus code[t]; if p is
+    a vacancy, bit p comes back on the one t with exposed == 1 << t.
 
     Free and caffeinated: sorted positions make each vertex's lions
     contiguous, so the product over lions is a product over vertices, with
@@ -156,7 +156,7 @@ def _successor_keys(frame, model: str, positions: tuple, sorted_adj,
     over their joint targets that adds bit v where they cover exposed. The
     key of a sum s is safe | codes[s], with the vacancy bits taken off s
     before the lookup and put back after it, so the cache holds code sums
-    only. All of it runs in C, without a call per move.
+    only. Per move, all of it runs in C.
     """
     safe, vacancies = frame
     code = codes.code
@@ -185,12 +185,14 @@ def _successor_keys(frame, model: str, positions: tuple, sorted_adj,
         if exposed is None:
             factors += [choices] * m
             continue
-        bits = tuple(1 << t for t in (((p,) + sorted_adj[p]) if stay else sorted_adj[p]))
+        # lists, not generator expressions: with a generator per frame the
+        # search workload's peak RSS read 0.7 MB (2%) higher
+        bits = [1 << t for t in (((p,) + sorted_adj[p]) if stay else sorted_adj[p])]
         joint = zip(map(sum, itertools.product(choices, repeat=m)),
                     map(functools.reduce, itertools.repeat(operator.or_),
                         itertools.product(bits, repeat=m)))
-        factors.append(tuple(s + (1 << p) if exposed & covered == exposed else s
-                             for s, covered in joint))
+        factors.append([s + (1 << p) if exposed & covered == exposed else s
+                        for s, covered in joint])
     sums = map(sum, itertools.product(*factors))
     if not exposed_at:
         return map(safe.__or__, map(codes.__getitem__, sums))
@@ -354,14 +356,17 @@ _BROKEN_RULES = {"not-adjacent": "is not a step to adjacent vertices",
 
 
 def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaReport:
-    """Replay the trace from initial_state (a lion off the graph in any
-    record, or a move for another number of lions, raises ValueError): the
-    first record whose move validate_moves rejects under the motion model,
-    or whose lions or cleared set differ from the replay, is a "replay"
-    violation.  Also check, with k the lion count, |C(t+1)| - |C(t)| <= k
-    and that |boundary(C(t))| >= 2k forces |C(t+1)| <= |C(t)|: proved
-    facts, so a violation means an engine bug or an edited trace.
+    """Replay the trace from initial_state (an unknown model, a lion off the
+    graph in any record, or a move for another number of lions, raises
+    ValueError): the first record whose move validate_moves rejects under
+    the motion model, or whose lions or cleared set differ from the replay,
+    is a "replay" violation.  Also check, with k the lion count,
+    |C(t+1)| - |C(t)| <= k and that |boundary(C(t))| >= 2k forces
+    |C(t+1)| <= |C(t)|: proved facts, so a violation means an engine bug or
+    an edited trace.
     """
+    if model not in dynamics.MODELS:  # validate_moves checks it only on a replayed move
+        raise ValueError(f"unknown motion model {model!r}")
     states = trace.states
     check_vertices(g, itertools.chain.from_iterable(s.lions for s in states))
     start = initial_state(g, states[0].lions)

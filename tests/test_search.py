@@ -154,7 +154,7 @@ def _assert_keys_match_the_kernel(g, model, positions, cleared):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_graphs(max_n=9), st.sampled_from(("free", "caffeinated", "polite")), st.data())
+@given(small_graphs(), st.sampled_from(("free", "caffeinated", "polite")), st.data())
 def test_successor_keys_match_the_kernel(g, model, data):
     """The kernel is the oracle for every key, with up to four lions, and in
     half the draws the lions share at most two vertices, so that vacancies
@@ -171,22 +171,26 @@ def test_successor_keys_match_the_kernel(g, model, data):
 
 
 # vertex 0 with two lions, cleared, and its neighbours 1 and 2 contaminated;
-# 3 is cleared but has the contaminated neighbour 4, so nothing is safe
+# vertex 3 with one lion, cleared, and its neighbour 4 contaminated
 STAR = make_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
 
 
-@pytest.mark.parametrize("model, keeps_0", [
-    ("free", [(1, 2), (2, 1)]),
-    ("caffeinated", [(1, 2), (2, 1)]),
-    ("polite", []),  # one lion always stays on 0
-])
-def test_two_lion_vacancy_with_two_exposed_neighbours(model, keeps_0):
-    """Vertex 0 is a vacancy of two lions whose exposed mask is {1, 2}: it
-    stays cleared once both lions leave it only if they cover 1 and 2."""
-    positions, cleared = (0, 0), 0b1001
-    assert exposure(STAR.neighbor_masks, positions, cleared) == (0, [(1, 0b110, [0, 1])])
+@pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
+def test_vacancies_of_two_lions_and_of_one(model):
+    """Vertex 0 is a vacancy of two lions whose exposed mask is {1, 2}, and 3
+    one of a lion whose exposed mask is {4}: once its lions leave, each
+    stays cleared exactly when they cover its exposed mask."""
+    positions, cleared = (0, 0, 3), 0b1001
+    assert exposure(STAR.neighbor_masks, positions, cleared) == \
+        (0, [(0b1, 0b110, [0, 1]), (0b1000, 0b10000, [2])])
     moves, keys = _assert_keys_match_the_kernel(STAR, model, positions, cleared)
-    assert [t for t, key in zip(moves, keys) if key & 1 and 0 not in t] == keeps_0
+    kept_0 = [t for t, key in zip(moves, keys) if key & 1 and 0 not in t]
+    kept_3 = [t for t, key in zip(moves, keys) if key >> 3 & 1 and 3 not in t]
+    assert kept_0 == [t for t in moves if sorted(t[:2]) == [1, 2] and 0 not in t]
+    assert kept_3 == [t for t in moves if t[2] == 4 and 3 not in t]
+    # a polite step moves one lion, so it keeps 3 once and never 0
+    assert (len(kept_0), len(kept_3)) == {"free": (4, 9), "caffeinated": (2, 4),
+                                           "polite": (0, 1)}[model]
 
 
 @pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
@@ -267,6 +271,12 @@ def test_verify_lemma_bounds_on_witness():
     report = verify_lemma_bounds(R2, verdict.trace)
     assert report.ok
     assert report.steps_checked == len(verdict.trace.moves)
+
+
+def test_verify_lemma_bounds_rejects_an_unknown_model():
+    # a trace with no move never reaches validate_moves, which checks the model too
+    with pytest.raises(ValueError, match="unknown motion model"):
+        verify_lemma_bounds(R2, run(R2, "free", (0,), []), "Polite")
 
 
 def test_verify_lemma_bounds_on_row_sweep_trace():
