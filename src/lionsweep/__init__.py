@@ -12,8 +12,7 @@ from .graphs import (Graph, boundary, build_circulant, build_square_grid,
                      is_connected, load_graph, make_graph, save_graph)
 from .isoperimetry import (ConjectureReport, FallDownReport, IsoProfile, boundary_in_both,
                            conjecture_report, fall_down, falldown_check,
-                           falldown_counterexample_search, falldown_mismatches,
-                           iso_profile, packing, triangular)
+                           falldown_mismatches, iso_profile, packing, triangular)
 from .search import (LemmaReport, MinLionsResult, SearchLimits, SearchVerdict,
                      can_clear, min_lions, verify_lemma_bounds)
 from .strategies import (MovePlan, caffeinated_wall_moves, column_positions,
@@ -30,8 +29,8 @@ __all__ = [
     "boundary", "boundary_in_both", "build_circulant", "build_square_grid",
     "build_tri_lattice", "build_triangle", "caffeinated_wall_moves",
     "can_clear", "cheeger_constant", "column_positions", "conjecture_report",
-    "exact_length_walk", "fall_down", "falldown_check",
-    "falldown_counterexample_search", "falldown_mismatches", "has_odd_cycle",
+    "exact_length_walk", "fall_down", "falldown_check", "falldown_mismatches",
+    "has_odd_cycle",
     "initial_state", "iso_profile", "is_connected", "is_monotone", "is_swept",
     "lion_bound", "load_graph", "make_graph", "min_lions",
     "naive_column_sweep_moves", "packing", "parity_distances",

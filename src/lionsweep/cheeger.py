@@ -32,7 +32,7 @@ def cheeger_constant(g: Graph) -> CheegerResult:
     """
     if g.n < 2:
         raise ValueError("the Cheeger constant needs at least 2 vertices")
-    profile = iso_profile(g, 1, g.n - 1)
+    profile = iso_profile(g)
     value, witness = min((Fraction(profile.min_boundary[s], min(s, g.n - s)),
                           sorted(profile.witness[s])) for s in range(1, g.n))
     return CheegerResult(value, frozenset(witness))

@@ -24,8 +24,6 @@ EXIT_RESOURCE = 40
 
 
 def _parse_ints(text: str) -> tuple:
-    if not text:
-        return ()
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
@@ -57,7 +55,7 @@ def cmd_simulate(args) -> int:
     g = graphs.load_graph(args.graph)
     lions = _parse_ints(args.lions)
     moves = dynamics.read_moves(args.moves)
-    trace = dynamics.run(g, args.model, lions, moves, stop_on_sweep=args.stop_on_sweep)
+    trace = dynamics.run(g, args.model, lions, moves)
     if args.trace_out:
         dynamics.write_trace(trace, args.trace_out)
     t = dynamics.is_swept(trace, g)
@@ -70,10 +68,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_strategy(args) -> int:
     if args.kind == "row-sweep":
-        starts = _parse_ints(args.starts) if args.starts else strategies.column_positions(args.n, args.l)
+        starts = _parse_ints(args.starts) if args.starts is not None else \
+            strategies.column_positions(args.n, args.l)
         plan = strategies.row_sweep_moves(args.n, args.l, starts)
     else:
-        starts = _parse_ints(args.starts) if args.starts else \
+        starts = _parse_ints(args.starts) if args.starts is not None else \
             strategies.wall_positions(args.n, args.l, ceil(args.l / 2))
         plan = strategies.caffeinated_wall_moves(args.n, args.l, starts)
     dynamics.write_moves(plan.moves, args.out)
@@ -96,7 +95,7 @@ def cmd_verify(args) -> int:
 def cmd_search(args) -> int:
     g = graphs.load_graph(args.graph)
     limits = search.SearchLimits(args.max_states, not args.no_dominance)
-    starts = _parse_ints(args.starts) if args.starts else "canonical"
+    starts = [_parse_ints(args.starts)] if args.starts is not None else "canonical"
     if args.min:
         result = search.min_lions(g, args.model, args.kmax, limits)
         if result.status == "found":
@@ -140,18 +139,17 @@ def cmd_isoperimetry(args) -> int:
         print(f"{bad} violations over {report.subsets_checked} subsets")
         return EXIT_OK if report.ok else EXIT_NEGATIVE
     if args.iso_cmd == "falldown-witness":
-        witness = isoperimetry.falldown_counterexample_search(args.n, args.direction)
-        if witness is None:
+        mismatch = next(isoperimetry.falldown_mismatches(args.n, args.direction), None)
+        if mismatch is None:
             print("none")
             return EXIT_NEGATIVE
-        print(f"witness = {sorted(witness)}")
+        print(f"witness = {sorted(mismatch[0])}")
         return EXIT_OK
     # profile
     g = graphs.load_graph(args.graph)
-    hi = args.hi if args.hi is not None else g.n
-    profile = isoperimetry.iso_profile(g, args.lo, hi)
+    profile = isoperimetry.iso_profile(g)
     lines = ["size,min_boundary,witness"]
-    for size in range(profile.size_lo, profile.size_hi + 1):
+    for size in range(g.n + 1):
         w = " ".join(str(v) for v in sorted(profile.witness[size]))
         lines.append(f"{size},{profile.min_boundary[size]},{w}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -202,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lions", required=True, help="comma-separated start vertices")
     p.add_argument("--moves", required=True)
     p.add_argument("--trace-out")
-    p.add_argument("--stop-on-sweep", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("strategy", help="generate a sweep move sequence")
@@ -245,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--direction", choices=["down-left", "down-right"], default="down-right")
     q = isub.add_parser("profile")
     q.add_argument("graph")
-    q.add_argument("--lo", type=int, default=0)
-    q.add_argument("--hi", type=int)
     q.add_argument("-o", "--out")
     p.set_defaults(func=cmd_isoperimetry)
 

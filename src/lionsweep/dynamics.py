@@ -169,18 +169,14 @@ class InvalidMoveError(ValueError):
         self.violations = violations
 
 
-def run(g: Graph, model: str, lions: Sequence, moves: Iterable,
-        stop_on_sweep: bool = False) -> Trace:
-    """Fold the update over a move list on one cleared mask, validating each
-    step against the model."""
+def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
+    """Fold the update over every step of a move list on one cleared mask,
+    validating each step against the model; is_swept finds the sweep time."""
     state = initial_state(g, lions)
     states = [state]
     applied = []
     adj_masks = g.neighbor_masks
-    full = (1 << g.n) - 1
     cleared = vertex_mask(state.cleared, g.n)
-    if stop_on_sweep and cleared == full:
-        return Trace(tuple(states), tuple(applied))
     for i, mv in enumerate(moves):
         mv = tuple(mv)
         if len(mv) != len(state.lions):  # validate_moves raises a bare ValueError on this
@@ -192,8 +188,6 @@ def run(g: Graph, model: str, lions: Sequence, moves: Iterable,
         state = SimState(i + 1, positions, frozenset(mask_vertices(cleared)))
         states.append(state)
         applied.append(mv)
-        if stop_on_sweep and cleared == full:
-            break
     return Trace(tuple(states), tuple(applied))
 
 

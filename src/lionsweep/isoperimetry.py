@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import ResourceLimitError
 from .graphs import (Graph, boundary, boundary_size_mask, build_square_grid,
@@ -128,8 +128,9 @@ def falldown_check(n: int) -> FallDownReport:
 
 def falldown_mismatches(n: int, direction: str = "down-right") -> Iterator[tuple]:
     """Yield (s, image, boundary_in_Sn, boundary_in_Rn) for every subset whose
-    transformed image has different boundary sets in S_n and R_n.  Compares
-    boundary counts (see falldown_check); sets are built only for the yield."""
+    transformed image has different boundary sets in S_n and R_n: none for
+    down-left, some from n = 4 on for down-right.  Compares boundary counts
+    (see falldown_check); sets are built only for the yield."""
     if direction not in ("down-left", "down-right"):
         raise ValueError(f"unknown fall-down direction {direction!r}")
     _check_budget("fall-down scan", n * n)
@@ -143,22 +144,11 @@ def falldown_mismatches(n: int, direction: str = "down-right") -> Iterator[tuple
             yield (frozenset(mask_vertices(mask)), image_set, *boundary_in_both(n, image_set))
 
 
-def falldown_counterexample_search(n: int, direction: str = "down-right") -> Optional[frozenset]:
-    """First subset whose transformed image tells S_n and R_n apart, or None.
-
-    Down-left finds nothing (the boundary-match lemma holds); down-right has
-    witnesses from n = 4 on.
-    """
-    return next((s for s, *_ in falldown_mismatches(n, direction)), None)
-
-
 @dataclass(frozen=True)
 class IsoProfile:
-    """Exact minimum boundary size per subset cardinality, with witnesses;
+    """Exact minimum boundary size per cardinality 0..|V|, with witnesses;
     witness[s] is the lexicographically smallest sorted minimizer of size s."""
 
-    size_lo: int
-    size_hi: int
     min_boundary: dict
     witness: dict
 
@@ -250,8 +240,7 @@ def _profile_plan(g: Graph) -> tuple:
     return plan, width + 1
 
 
-def _profile_layer(layer: dict, step: tuple, n: int, slots: int, size_bits: int,
-                   out_min: int, in_max: int) -> dict:
+def _profile_layer(layer: dict, step: tuple, n: int, slots: int, size_bits: int) -> dict:
     """Decide one vertex in every entry of a DP layer; return the next layer.
 
     A key is (pending << slots | in_s) << size_bits | size, with one bit per
@@ -259,8 +248,7 @@ def _profile_layer(layer: dict, step: tuple, n: int, slots: int, size_bits: int,
     < prefers the smaller boundary, then the lexicographically smaller
     witness.  Out of S, v makes each pending neighbour a boundary vertex; in
     S, v is on the boundary at once if a decided neighbour is out of S, and
-    pending otherwise.  Entries of size < out_min may not leave v out, entries
-    of size >= in_max may not take it in.
+    pending otherwise.
     """
     v, slot, nbrs, keep = step
     in_v = 1 << (size_bits + slot)
@@ -274,30 +262,27 @@ def _profile_layer(layer: dict, step: tuple, n: int, slots: int, size_bits: int,
     nxt: dict = {}
     get = nxt.get
     for key, code in layer.items():
-        size = key & size_mask
-        if size >= out_min:
-            hit = key & nbr_pend
-            k = (key ^ hit) & keep_key
-            c = code + (hit.bit_count() << n)
-            old = get(k)
-            if old is None or c < old:
-                nxt[k] = c
-        if size < in_max:
-            if key & nbr_in == nbr_in:
-                k = ((key | in_v | pend_v) & keep_key) + 1
-                c = code - w_v
-            else:
-                k = ((key | in_v) & keep_key) + 1
-                c = code + in_boundary
-            old = get(k)
-            if old is None or c < old:
-                nxt[k] = c
+        hit = key & nbr_pend
+        k = (key ^ hit) & keep_key
+        c = code + (hit.bit_count() << n)
+        old = get(k)
+        if old is None or c < old:
+            nxt[k] = c
+        if key & nbr_in == nbr_in:
+            k = ((key | in_v | pend_v) & keep_key) + 1
+            c = code - w_v
+        else:
+            k = ((key | in_v) & keep_key) + 1
+            c = code + in_boundary
+        old = get(k)
+        if old is None or c < old:
+            nxt[k] = c
     return nxt
 
 
-def iso_profile(g: Graph, size_lo: int, size_hi: int) -> IsoProfile:
-    """Minimum |boundary(S)| over all S of each cardinality in [size_lo, size_hi],
-    by a dynamic program over the vertices: the one kernel cheeger_constant and
+def iso_profile(g: Graph) -> IsoProfile:
+    """Minimum |boundary(S)| over all S of each cardinality 0..|V|, by a
+    dynamic program over the vertices: the one kernel cheeger_constant and
     conjecture_report reduce over.
 
     The vertices are decided one at a time, in the order _decision_order
@@ -320,19 +305,17 @@ def iso_profile(g: Graph, size_lo: int, size_hi: int) -> IsoProfile:
     2^SUBSET_BUDGET_BITS for some layer is refused before the first layer is
     built.  2^d <= 2^|V|, so every graph of at most 20 vertices is accepted.
     """
-    if not (0 <= size_lo <= size_hi <= g.n):
-        raise ValueError("size range must satisfy 0 <= lo <= hi <= |V|")
     n = g.n
     plan, slots = _profile_plan(g)
     size_bits = n.bit_length()
     full = (1 << n) - 1
     layer = {0: full}
-    for d, step in enumerate(plan, 1):
-        layer = _profile_layer(layer, step, n, slots, size_bits, size_lo - (n - d), size_hi)
-    best = {s: layer[s] >> n for s in range(size_lo, size_hi + 1)}
+    for step in plan:
+        layer = _profile_layer(layer, step, n, slots, size_bits)
+    best = {s: layer[s] >> n for s in range(n + 1)}
     witness = {s: frozenset(n - 1 - u for u in mask_vertices(full ^ (layer[s] & full)))
-               for s in range(size_lo, size_hi + 1)}
-    return IsoProfile(size_lo, size_hi, best, witness)
+               for s in range(n + 1)}
+    return IsoProfile(best, witness)
 
 
 def packing(n: int, kind: str, count: int) -> frozenset:
@@ -391,7 +374,7 @@ def conjecture_report(n: int) -> ConjectureReport:
         raise ValueError("conjecture report needs n >= 1")
     tri = build_triangle(n)
     total = triangular(n)
-    profile = iso_profile(tri, 0, total)
+    profile = iso_profile(tri)
     rows = []
     for size in range(total + 1):
         mb = profile.min_boundary[size]

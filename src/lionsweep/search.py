@@ -55,7 +55,7 @@ class SearchVerdict:
 
 
 def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
-    """Resolve the start policy into concrete sorted position tuples.
+    """Resolve "canonical" or a list of start tuples into sorted position tuples.
 
     Sweepability is start-independent on connected graphs (and for
     caffeinated lions on connected graphs with an odd cycle), so "canonical"
@@ -63,7 +63,8 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
     conserves the two-coloring split up to global flips, so there one start
     per parity class of the position vector is searched.  Canonical starts
     are refused on a disconnected graph, where they are not sound, and for
-    k >= 1 on the empty graph, which has no vertex to place lions on.
+    k >= 1 on the empty graph, which has no vertex to place lions on.  An
+    empty list is refused: searching from no start would read as impossible.
     """
     if starts == "canonical":
         if not is_connected(g):
@@ -79,8 +80,8 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
             # j lions on the other color class; j and k-j are one flip apart
             return [tuple(sorted([0] * (k - j) + [nbr] * j)) for j in range(k // 2 + 1)]
         return [(0,) * k]
-    if starts and isinstance(starts[0], int):
-        starts = [starts]
+    if not starts:
+        raise ValueError("the start list is empty; give at least one start tuple")
     out = []
     for tup in starts:
         if len(tup) != k:

@@ -147,7 +147,7 @@ def test_criterion_07_lemma5_exhaustive():
         # window: n^2/2 - n/2 < |S| < n^2/2 + n/2; both ends are integers
         lo = n * (n - 1) // 2 + 1
         hi = n * (n + 1) // 2 - 1
-        profile = iso_profile(g, lo, hi)
+        profile = iso_profile(g)
         for size in range(lo, hi + 1):
             assert profile.min_boundary[size] >= n, (n, size)
     _passed(7, "mid-size subsets of R_n have >= n boundary vertices")

@@ -1,9 +1,10 @@
+import argparse
 import json
 import re
 
 import pytest
 
-from lionsweep.cli import main
+from lionsweep.cli import build_parser, main
 from lionsweep.dynamics import STAY, write_moves
 from lionsweep.graphs import build_tri_lattice, load_graph
 
@@ -42,22 +43,6 @@ def test_simulate_row_sweep(tmp_path, r3_path, capsys):
     assert "swept at t=" in capsys.readouterr().out
     assert main(["verify", str(r3_path), "--trace", str(trace_out)]) == 0
     assert "0 violations" in capsys.readouterr().out
-
-
-def test_simulate_stop_on_sweep_truncates(tmp_path, r3_path, capsys):
-    moves = tmp_path / "moves.txt"
-    assert main(["strategy", "row-sweep", "-n", "3", "-l", "3", "-o", str(moves)]) == 0
-    from lionsweep.dynamics import read_moves
-
-    trace_out = tmp_path / "trace.jsonl"
-    padded = read_moves(moves) + [(STAY, STAY, STAY)] * 5
-    write_moves(padded, moves)
-    code = main(["simulate", str(r3_path), "--model", "free", "--lions", "0,3,6",
-                 "--moves", str(moves), "--trace-out", str(trace_out), "--stop-on-sweep"])
-    assert code == 0
-    from lionsweep.dynamics import read_trace
-
-    assert len(read_trace(trace_out).moves) < len(padded)
 
 
 def test_simulate_caffeinated_stay_rejected(tmp_path, r3_path, capsys):
@@ -111,6 +96,16 @@ def test_search_disconnected_graph(tmp_path, capsys):
     capsys.readouterr()
     assert main(["search", str(path), "-k", "2", "--starts", "0,2"]) == 0
     assert capsys.readouterr().out.startswith("cleared")
+
+
+def test_search_empty_starts_is_a_start_with_no_lions(tmp_path, capsys):
+    """--starts "" is one start placing no lions, not a request for canonical
+    starts (which this disconnected graph refuses)."""
+    path = tmp_path / "edge_and_vertex.txt"
+    path.write_text("vertices 3\n0 1\n")
+    assert main(["search", str(path), "-k", "2", "--starts", ""]) == 2
+    err = capsys.readouterr().err
+    assert "start () does not place 2 lions" in err and "canonical" not in err
 
 
 @pytest.mark.parametrize("flags", [["--starts", "0"], ["-k", "1"]])
@@ -277,22 +272,60 @@ def test_isoperimetry_profile(tmp_path, capsys):
     p3 = tmp_path / "p3.txt"
     main(["graph", "triangle", "-n", "3", "-o", str(p3)])
     out = tmp_path / "profile.csv"
-    assert main(["isoperimetry", "profile", str(p3), "--lo", "1", "--hi", "2",
-                 "-o", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "size,min_boundary,witness"
-    assert lines[1].startswith("1,1,")
+    assert main(["isoperimetry", "profile", str(p3), "-o", str(out)]) == 0
+    assert out.read_text() == ("size,min_boundary,witness\n0,0,\n1,1,0\n2,2,0 1\n"
+                               "3,2,0 1 2\n4,3,0 1 2 3\n5,2,0 1 2 3 4\n6,0,0 1 2 3 4 5\n")
 
 
-def test_parser_shared_across_calls_keeps_no_state(tmp_path, capsys):
+def test_parser_shared_across_calls_keeps_no_state(r3_path, capsys):
     """main() reuses one parser; options from one call must not leak into the next."""
-    p3 = tmp_path / "p3.txt"
-    main(["graph", "triangle", "-n", "3", "-o", str(p3)])
     capsys.readouterr()
-    assert main(["isoperimetry", "profile", str(p3), "--lo", "1", "--hi", "2"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 3
-    assert main(["isoperimetry", "profile", str(p3)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 8  # header + sizes 0..6
+    assert main(["search", str(r3_path), "-k", "3", "--no-dominance"]) == 0
+    assert "states=1223," in capsys.readouterr().out
+    assert main(["search", str(r3_path), "-k", "3"]) == 0
+    assert "states=926," in capsys.readouterr().out
+
+
+# Every argument of every subcommand: a positional by its name, an option by
+# its option strings.
+PINNED_OPTIONS = {
+    "graph": ["family", "-n", "-l", "-k", "-o/--out"],
+    "simulate": ["graph", "--model", "--lions", "--moves", "--trace-out"],
+    "strategy": ["kind", "-n", "-l", "--starts", "-o/--out"],
+    "verify": ["graph", "--trace", "--model"],
+    "search": ["graph", "--model", "-k", "--min", "--kmax", "--max-states",
+               "--no-dominance", "--starts", "--witness-out"],
+    "cheeger": ["graph"],
+    "isoperimetry falldown-check": ["-n"],
+    "isoperimetry falldown-witness": ["-n", "--direction"],
+    "isoperimetry profile": ["graph", "-o/--out"],
+    "conjecture": ["-n", "-o/--out"],
+}
+
+
+def _parser_arguments(parser, command=""):
+    table = {}
+    own = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                table.update(_parser_arguments(subparser, f"{command} {name}".strip()))
+        elif not isinstance(action, argparse._HelpAction):
+            own.append("/".join(action.option_strings) or action.dest)
+    if own:
+        table[command] = own
+    return table
+
+
+def test_cli_options_are_pinned():
+    """The command line has exactly the arguments in PINNED_OPTIONS.
+
+    Each independent option doubles the configurations that tests and the
+    benchmark must cover, so a new option must edit this table, and
+    CHANGES.md must name the two existing callers (tests not counted) that
+    need different values of it.
+    """
+    assert _parser_arguments(build_parser()) == PINNED_OPTIONS
 
 
 def test_conjecture_csv_and_exit(tmp_path):
@@ -309,6 +342,15 @@ def test_conjecture_resource_limit(capsys):
     err = capsys.readouterr().err
     assert re.search(r"active width \d+, a layer of up to \d+ entries, over the budget of 2\^20",
                      err)
+
+
+@pytest.mark.parametrize("kind, need", [("row-sweep", 2), ("wall", 3)])
+def test_strategy_empty_starts_places_no_lions(tmp_path, capsys, kind, need):
+    """--starts "" is an empty start list, not a request for the default one."""
+    out = tmp_path / "moves.txt"
+    assert main(["strategy", kind, "-n", "2", "-l", "3", "--starts", "", "-o", str(out)]) == 2
+    assert f"needs exactly {need} lions" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_wall_strategy_roundtrip(tmp_path, capsys):

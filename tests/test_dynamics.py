@@ -107,12 +107,6 @@ def test_run_and_is_swept():
     assert exc.value.step_index == 1
 
 
-def test_run_stop_on_sweep():
-    tr = run(PATH3, "free", (0,), [(1,), (2,), (1,)], stop_on_sweep=True)
-    assert len(tr.moves) == 2
-    assert is_swept(tr, PATH3) == 2
-
-
 def test_is_monotone():
     tr = run(PATH3, "free", (1,), [(0,)])
     assert not is_monotone(tr)
@@ -233,23 +227,20 @@ def test_two_part_kernel_matches_reference_rule(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(move_lists(), st.booleans())
-def test_run_is_the_fold_of_step_and_of_the_reference_rule(case, stop_on_sweep):
+@given(move_lists())
+def test_run_is_the_fold_of_step_and_of_the_reference_rule(case):
     g, model, lions, moves = case
-    full = frozenset(range(g.n))
     state = initial_state(g, lions)
     states = [state]
     for mv in moves:
-        if stop_on_sweep and state.cleared == full:
-            break
         expected = reference_cleared_update(g, state.cleared, state.lions, mv)
         state = step(g, state, mv)
         assert state.lions == tuple(p if t == STAY else t for p, t in zip(states[-1].lions, mv))
         assert state.cleared == expected
         states.append(state)
-    tr = run(g, model, lions, moves, stop_on_sweep=stop_on_sweep)
+    tr = run(g, model, lions, moves)
     assert tr.states == tuple(states)
-    assert tr.moves == tuple(moves[:len(states) - 1])
+    assert tr.moves == tuple(moves)
 
 
 def test_lemma_bounds_on_random_traces(rng):

@@ -13,9 +13,8 @@ from lionsweep.errors import ResourceLimitError
 from lionsweep.graphs import (boundary, build_circulant, build_tri_lattice, build_triangle,
                               make_graph)
 from lionsweep.isoperimetry import (boundary_in_both, conjecture_report, fall_down,
-                                    falldown_check, falldown_counterexample_search,
-                                    falldown_mismatches, iso_profile, packing,
-                                    triangular)
+                                    falldown_check, falldown_mismatches, iso_profile,
+                                    packing, triangular)
 
 
 def coords_set(n, pairs):
@@ -68,16 +67,15 @@ def test_falldown_check_n3():
 
 
 def test_falldown_counterexample_down_left_none():
-    assert falldown_counterexample_search(3, "down-left") is None
+    assert next(falldown_mismatches(3, "down-left"), None) is None
 
 
 def test_falldown_counterexample_down_right_degenerate():
-    assert falldown_counterexample_search(1, "down-right") is None
+    assert next(falldown_mismatches(1, "down-right"), None) is None
 
 
 def test_falldown_down_right_witness_exists_n4():
-    witness = falldown_counterexample_search(4, "down-right")
-    assert witness is not None
+    assert next(falldown_mismatches(4, "down-right"), None) is not None
 
 
 def test_falldown_limits():
@@ -91,7 +89,7 @@ def test_falldown_limits():
 
 def test_iso_profile_singleton():
     g = build_triangle(3)
-    prof = iso_profile(g, 1, 1)
+    prof = iso_profile(g)
     assert prof.min_boundary[1] == 1
     w = prof.witness[1]
     assert len(boundary(g, w)) == 1
@@ -99,7 +97,7 @@ def test_iso_profile_singleton():
 
 def test_iso_profile_matches_combination_oracle():
     g = build_triangle(3)  # 6 vertices
-    prof = iso_profile(g, 0, 6)
+    prof = iso_profile(g)
     for size in range(7):
         combos = list(itertools.combinations(range(6), size))  # lexicographic order
         sizes = [len(boundary(g, frozenset(c))) for c in combos]
@@ -109,22 +107,12 @@ def test_iso_profile_matches_combination_oracle():
         assert tuple(sorted(prof.witness[size])) == combos[sizes.index(best)]
 
 
-@st.composite
-def graphs_with_windows(draw, max_n=12):
-    """A small_graphs graph and a size window [lo, hi]."""
-    g = draw(small_graphs(max_n))
-    lo = draw(st.integers(0, g.n))
-    hi = draw(st.integers(lo, g.n))
-    return g, lo, hi
-
-
 @settings(max_examples=80, deadline=None)
-@given(graphs_with_windows())
-def test_iso_profile_matches_combination_oracle_on_random_graphs(case):
-    g, lo, hi = case
-    prof = iso_profile(g, lo, hi)
-    assert sorted(prof.min_boundary) == sorted(prof.witness) == list(range(lo, hi + 1))
-    for size in range(lo, hi + 1):
+@given(small_graphs())
+def test_iso_profile_matches_combination_oracle_on_random_graphs(g):
+    prof = iso_profile(g)
+    assert sorted(prof.min_boundary) == sorted(prof.witness) == list(range(g.n + 1))
+    for size in range(g.n + 1):
         combos = list(itertools.combinations(range(g.n), size))
         sizes = [len(boundary(g, frozenset(c))) for c in combos]
         best = min(sizes)
@@ -133,15 +121,14 @@ def test_iso_profile_matches_combination_oracle_on_random_graphs(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs_with_windows(max_n=16), st.randoms(use_true_random=False))
-def test_iso_profile_values_do_not_depend_on_labels(case, rnd):
+@given(small_graphs(max_n=16), st.randoms(use_true_random=False))
+def test_iso_profile_values_do_not_depend_on_labels(g, rnd):
     """Relabelling changes the decision order, not the minimum boundaries."""
-    g, lo, hi = case
     perm = list(range(g.n))
     rnd.shuffle(perm)
     relabelled = make_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    prof = iso_profile(g, lo, hi)
-    prof2 = iso_profile(relabelled, lo, hi)
+    prof = iso_profile(g)
+    prof2 = iso_profile(relabelled)
     assert prof2.min_boundary == prof.min_boundary
     for size, w in prof2.witness.items():
         assert len(w) == size and len(boundary(relabelled, w)) == prof.min_boundary[size]
@@ -167,7 +154,7 @@ def test_conjecture_report_n6_matches_brute_force_fixture():
 def test_iso_profile_limit():
     g = dense_shuffled_graph(seed=1)
     with pytest.raises(ResourceLimitError, match=r"active width \d+, a layer of up to \d+ entries"):
-        iso_profile(g, 0, 1)
+        iso_profile(g)
 
 
 def test_one_subset_budget_edges(monkeypatch):
@@ -189,18 +176,20 @@ def test_one_subset_budget_edges(monkeypatch):
         conjecture_report(10)  # P_10, 55 vertices
     dense = dense_shuffled_graph(seed=2)
     with pytest.raises(ResourceLimitError):
-        iso_profile(dense, 0, 0)
+        iso_profile(dense)
     with pytest.raises(ResourceLimitError):
         cheeger_constant(dense)
     with pytest.raises(ResourceLimitError):
-        iso_profile(build_tri_lattice(9, 9), 0, 0)
+        iso_profile(build_tri_lattice(9, 9))
     monkeypatch.undo()
     isoperimetry._profile_plan(build_tri_lattice(8, 8))
     isoperimetry._profile_plan(build_triangle(9))
     k20 = build_circulant(20, 10)  # the complete graph K_20
-    assert iso_profile(k20, 0, 1).min_boundary == {0: 0, 1: 1}
-    assert iso_profile(dense_shuffled_graph(seed=3, n=20), 0, 0).min_boundary == {0: 0}
-    assert iso_profile(build_tri_lattice(4, 5), 0, 0).min_boundary == {0: 0}  # 20 vertices
+    assert iso_profile(k20).min_boundary == {s: s if 0 < s < 20 else 0 for s in range(21)}
+    for g in (dense_shuffled_graph(seed=3, n=20), build_tri_lattice(4, 5)):  # 20 vertices
+        prof = iso_profile(g)
+        assert sorted(prof.min_boundary) == list(range(21))
+        assert prof.min_boundary[0] == prof.min_boundary[20] == 0
 
 
 def test_packing_examples():

@@ -266,6 +266,12 @@ def test_explicit_starts():
         can_clear(R2, 2, starts=[(0,)])
 
 
+def test_empty_start_list_is_refused():
+    """A search from no start would report impossible, though 2 lions clear R_{2,2}."""
+    with pytest.raises(ValueError, match="start list is empty"):
+        can_clear(R2, 2, starts=[])
+
+
 def test_verify_lemma_bounds_on_witness():
     verdict = can_clear(R2, 2)
     report = verify_lemma_bounds(R2, verdict.trace)
