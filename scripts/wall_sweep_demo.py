@@ -35,7 +35,7 @@ def main():
     g = build_tri_lattice(n, l)
     k = (3 * n) // 2
     if args.from_wall:
-        starts = wall_positions(n, l, (l + 1) // 2)
+        starts = wall_positions(n, l)
     else:
         starts = tuple(i % g.n for i in range(0, 3 * k, 3))
     plan = caffeinated_wall_moves(n, l, starts)

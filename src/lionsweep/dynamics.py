@@ -11,8 +11,9 @@ moves and Blocked the (undirected) edges some lion crossed during the step,
 Contamination spreads exactly one hop per step, read off the time-t state;
 a vertex a lion vacates can recontaminate in the same step.
 
-The rule is computed in two parts, which _advance() uses back to back for
-step(), run() and verify's replay:
+The rule is computed in two parts.  step(), run() and verify call exposure()
+once per state and hand the frame to _advance() for the move step; verify also
+reads |boundary(C)| = |C| - |Safe| off it:
 
     exposure(), per state:  Safe, the cleared vertices with no contaminated
         neighbor, and the vacancies, the cleared lion positions v whose
@@ -109,15 +110,15 @@ def step(g: Graph, state: SimState, mv: MoveStep) -> SimState:
     violations = validate_moves(g, "free", state, mv)
     if violations:
         raise InvalidMoveError(state.time, violations)
-    positions, cleared = _advance(g.neighbor_masks, state.lions,
-                                  vertex_mask(state.cleared, g.n), mv)
+    frame = exposure(g.neighbor_masks, state.lions, vertex_mask(state.cleared, g.n))
+    positions, cleared = _advance(frame, state.lions, mv)
     return SimState(state.time + 1, positions, frozenset(mask_vertices(cleared)))
 
 
-def _advance(adj_masks, lions, cleared: int, mv: MoveStep) -> tuple:
-    """One validated move step on masks: (lion positions, cleared mask) after it."""
+def _advance(frame, lions, mv: MoveStep) -> tuple:
+    """One validated move step off its state's exposure() frame: (positions, cleared) after it."""
     positions = tuple(p if t == STAY else t for p, t in zip(lions, mv))
-    return positions, step_cleared_mask(exposure(adj_masks, lions, cleared), positions)
+    return positions, step_cleared_mask(frame, positions)
 
 
 def exposure(adj_masks, positions, cleared: int) -> tuple:
@@ -184,7 +185,7 @@ def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
         violations = validate_moves(g, model, state, mv)
         if violations:
             raise InvalidMoveError(i, violations)
-        positions, cleared = _advance(adj_masks, state.lions, cleared, mv)
+        positions, cleared = _advance(exposure(adj_masks, state.lions, cleared), state.lions, mv)
         state = SimState(i + 1, positions, frozenset(mask_vertices(cleared)))
         states.append(state)
         applied.append(mv)

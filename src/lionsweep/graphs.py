@@ -23,7 +23,7 @@ class Graph:
     """Finite simple undirected graph with optional grid coordinates."""
 
     n: int
-    adj: tuple[frozenset, ...]
+    adj: tuple[tuple[int, ...], ...]  # v's neighbours in increasing order: the neighbour order
     coords: Optional[tuple[Coord, ...]] = None
     family: Optional[str] = None
 
@@ -31,9 +31,11 @@ class Graph:
         if self.n < 0 or len(self.adj) != self.n:
             raise ValueError("adjacency length must equal vertex count")
         for v, nbrs in enumerate(self.adj):
-            for u in nbrs:
-                if not (0 <= u < self.n):
-                    raise ValueError(f"adjacency entry {u} out of range")
+            if type(nbrs) is not tuple:
+                raise ValueError(f"adjacency of vertex {v} is not a tuple")
+            for prev, u in zip((-1,) + nbrs, nbrs):
+                if not (prev < u < self.n):
+                    raise ValueError(f"vertex {v}: adjacency not increasing in 0..{self.n - 1}")
                 if u == v:
                     raise ValueError(f"self-loop at vertex {v}")
                 if v not in self.adj[u]:
@@ -42,7 +44,7 @@ class Graph:
             raise ValueError("coords length must equal vertex count")
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each undirected edge once, as (u, v) with u < v."""
+        """Yield each undirected edge once, as (u, v) with u < v, in increasing order."""
         for v in range(self.n):
             for u in self.adj[v]:
                 if v < u:
@@ -88,7 +90,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]],
             raise ValueError(f"edge {u}-{v} out of range 0..{n - 1}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(n, tuple(frozenset(s) for s in nbrs), coords, family)
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs), coords, family)
 
 
 def _lattice(coords: tuple, offsets, family: str) -> Graph:
@@ -245,7 +247,7 @@ def save_graph(g: Graph, path) -> None:
     """Write the edge-list text format: header 'vertices N', then 'u v' per edge."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"vertices {g.n}\n")
-        for u, v in sorted(g.edges()):
+        for u, v in g.edges():
             fh.write(f"{u} {v}\n")
 
 

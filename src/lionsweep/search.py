@@ -4,7 +4,7 @@ Breadth-first reachability over Markov states (lion multiset, cleared set),
 deduplicating visited states and optionally discarding states whose cleared
 set is dominated by an already-seen state with the same lion positions
 (sound because the update rule is monotone in the cleared set).
-Single-threaded and deterministic: moves are enumerated in sorted order.
+Single-threaded and deterministic: moves follow Graph.adj's neighbour order.
 
 A state is one int, cleared | the sum of code[p] over the lion positions p,
 with code[v] = 1 << (n + v * k.bit_length()): the cleared mask in the low n
@@ -31,8 +31,7 @@ from typing import Iterator, Optional
 
 from . import dynamics
 from .dynamics import STAY, Trace, exposure, initial_state, run
-from .graphs import (Graph, boundary_size_mask, check_vertices, has_odd_cycle, is_connected,
-                     mask_vertices, vertex_mask)
+from .graphs import Graph, check_vertices, has_odd_cycle, is_connected, mask_vertices, vertex_mask
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,8 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
             return [()]
         if g.n == 0:
             raise ValueError(f"the empty graph has no vertex to place {k} lions on")
-        if model == "caffeinated" and not has_odd_cycle(g):
-            nbr = min(g.adj[0]) if g.adj[0] else None
-            if nbr is None:
-                return [(0,) * k]
+        if model == "caffeinated" and not has_odd_cycle(g) and g.adj[0]:
+            nbr = g.adj[0][0]
             # j lions on the other color class; j and k-j are one flip apart
             return [tuple(sorted([0] * (k - j) + [nbr] * j)) for j in range(k // 2 + 1)]
         return [(0,) * k]
@@ -91,32 +88,32 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
     return out
 
 
-def _move_choices(model: str, positions: tuple, sorted_adj) -> Iterator[tuple]:
+def _move_choices(model: str, positions: tuple, adj) -> Iterator[tuple]:
     """Deterministic enumeration of target tuples aligned with the sorted positions."""
     if model == "caffeinated":
-        return itertools.product(*(sorted_adj[p] for p in positions))
+        return itertools.product(*(adj[p] for p in positions))
     if model == "free":
-        return itertools.product(*((p,) + sorted_adj[p] for p in positions))
+        return itertools.product(*((p,) + adj[p] for p in positions))
     # polite: everyone stays, or exactly one lion moves
     return itertools.chain((positions,), (positions[:i] + (t,) + positions[i + 1:]
                                           for i, p in enumerate(positions)
-                                          for t in sorted_adj[p]))
+                                          for t in adj[p]))
 
 
 class _KeyCodes(dict):
     """The codes behind the state keys of one search with k lions on the graph
-    with sorted adjacency lists sorted_adj: code[v], the codes of each vertex's
+    with adjacency adj = g.adj: code[v], the codes of each vertex's
     neighbours, and, as a dict, each sum pc of codes -> pc | the mask of the
     vertices pc occupies, worked out on its first lookup. Counts of at most k
     lions fit the b = k.bit_length() bits per vertex."""
 
-    def __init__(self, sorted_adj, k: int):
+    def __init__(self, adj, k: int):
         super().__init__()
-        self.n = len(sorted_adj)
+        self.n = len(adj)
         self.b = k.bit_length()
         self.code = tuple(1 << (self.n + v * self.b) for v in range(self.n))
-        self.adj_codes = tuple(tuple(map(self.code.__getitem__, nbrs)) for nbrs in sorted_adj)
-        self.adj_steps = tuple(tuple(self.code[u] | 1 << u for u in nbrs) for nbrs in sorted_adj)
+        self.adj_codes = tuple(tuple(map(self.code.__getitem__, nbrs)) for nbrs in adj)
+        self.adj_steps = tuple(tuple(self.code[u] | 1 << u for u in nbrs) for nbrs in adj)
 
     def positions(self, key: int) -> tuple:
         """The sorted lion positions of a key."""
@@ -137,7 +134,7 @@ class _KeyCodes(dict):
         return key
 
 
-def _successor_keys(frame, model: str, positions: tuple, sorted_adj,
+def _successor_keys(frame, model: str, positions: tuple, adj,
                     codes: _KeyCodes) -> Iterator[int]:
     """The keys of the states after each move of _move_choices, in its order,
     from the state at the sorted positions whose exposure frame is given.
@@ -173,7 +170,7 @@ def _successor_keys(frame, model: str, positions: tuple, sorted_adj,
             if positions.count(p) == 1:
                 low = safe | occ & ~(1 << p)
                 if p in exposed_at:  # one lion: exposed is one neighbour's bit
-                    i = sorted_adj[p].index(exposed_at[p].bit_length() - 1)
+                    i = adj[p].index(exposed_at[p].bit_length() - 1)
                     steps = steps[:i] + (steps[i] | 1 << p,) + steps[i + 1:]
             moves.append(map(low.__or__, map((pc - code[p]).__add__, steps)))
         return itertools.chain((safe | occ | pc,), *moves)
@@ -188,7 +185,7 @@ def _successor_keys(frame, model: str, positions: tuple, sorted_adj,
             continue
         # lists, not generator expressions: with a generator per frame the
         # search workload's peak RSS read 0.7 MB (2%) higher
-        bits = [1 << t for t in (((p,) + sorted_adj[p]) if stay else sorted_adj[p])]
+        bits = [1 << t for t in (((p,) + adj[p]) if stay else adj[p])]
         joint = zip(map(sum, itertools.product(choices, repeat=m)),
                     map(functools.reduce, itertools.repeat(operator.or_),
                         itertools.product(bits, repeat=m)))
@@ -208,17 +205,19 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
 
     Returns Cleared with a witness trace, Impossible after exhausting the
     reachable deduplicated state space, or Unknown when a limit is hit
-    (never misreported as Impossible).  Raises ValueError on unsound starts.
+    (never misreported as Impossible).  Raises ValueError on an unknown model
+    or unsound starts.
     """
+    if model not in dynamics.MODELS:
+        raise ValueError(f"unknown motion model {model!r}")
     if k < 0:
         raise ValueError("lion count must be >= 0")
     limits = limits or SearchLimits()
     max_states, dominance = limits.max_states, limits.dominance_pruning
     n = g.n
     adj_masks = g.neighbor_masks
-    sorted_adj = tuple(tuple(sorted(g.adj[v])) for v in range(n))
     full = (1 << n) - 1
-    codes = _KeyCodes(sorted_adj, k)
+    codes = _KeyCodes(g.adj, k)
 
     start_list = _start_tuples(g, k, model, starts)
     offered = set()  # every key ever offered: none of them can be admitted again
@@ -230,7 +229,7 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     def expand(key: int):
         positions = codes.positions(key)
         frame = exposure(adj_masks, positions, key & full)
-        return positions, _successor_keys(frame, model, positions, sorted_adj, codes)
+        return positions, _successor_keys(frame, model, positions, g.adj, codes)
 
     def witness(key: int) -> Trace:
         # a key is admitted at its first offer, so its parent's first move
@@ -238,7 +237,7 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         hops = []
         while parents[key] is not None:
             parent_positions, keys = expand(parents[key])
-            moves = _move_choices(model, parent_positions, sorted_adj)
+            moves = _move_choices(model, parent_positions, g.adj)
             hops.append((parent_positions, next(t for t, child in zip(moves, keys)
                                                 if child == key)))
             key = parents[key]
@@ -361,7 +360,8 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
     graph in any record, or a move for another number of lions, raises
     ValueError): the first record whose move validate_moves rejects under
     the motion model, or whose lions or cleared set differ from the replay,
-    is a "replay" violation.  Also check, with k the lion count,
+    is a "replay" violation.  Also check, with k the lion count and
+    |boundary(C(t))| = |C(t)| - |Safe| read off the frame the replay steps with,
     |C(t+1)| - |C(t)| <= k and that |boundary(C(t))| >= 2k forces
     |C(t+1)| <= |C(t)|: proved facts, so a violation means an engine bug or
     an edited trace.
@@ -378,9 +378,10 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
     for mv, a, b in zip(trace.moves, states, states[1:]):
         next_cleared = vertex_mask(b.cleared, g.n)
         growth = next_cleared.bit_count() - cleared.bit_count()
+        frame = exposure(g.neighbor_masks, a.lions, cleared)
         if growth > k:
             violations.append((a.time, "growth-bound", f"|C| grew by {growth} > k={k}"))
-        if growth > 0 and boundary_size_mask(g.neighbor_masks, cleared) >= 2 * k:
+        if growth > 0 and cleared.bit_count() - frame[0].bit_count() >= 2 * k:
             violations.append((a.time, "boundary-stall",
                                f"boundary >= 2k={2 * k} yet |C| grew by {growth}"))
         if replaying:  # until the first divergence, record a is the replayed state
@@ -389,7 +390,7 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
                 detail = f"move {list(mv)} " + " and ".join(
                     dict.fromkeys(_BROKEN_RULES[reason] for _, reason in broken))
             else:
-                positions, replayed = dynamics._advance(g.neighbor_masks, a.lions, cleared, mv)
+                positions, replayed = dynamics._advance(frame, a.lions, mv)
                 if positions != b.lions:
                     detail = f"lions {list(b.lions)}, replay gives {list(positions)}"
                 elif replayed != next_cleared:

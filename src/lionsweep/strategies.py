@@ -4,8 +4,8 @@
   leftmost column and advancing one lion at a time, bottom row first.
 * caffeinated wall sweep: floor(3n/2) always-moving lions clear R_{n,l} with a
   vertical wall of lion triangles that crosses the grid.
-* exact-length walks and simultaneous repositioning supply the formation
-  phases (a caffeinated lion cannot just wait for the others).
+* the row sweep gathers along shortest walks and the wall forms by
+  simultaneous repositioning; exact_length_walk is a standalone planner.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ def parity_distances(g: Graph, u: int):
     of parity p (None if no such walk) and parent[p][v] is the vertex before
     v on one such shortest walk, reached by a walk of parity p ^ 1 (None for
     the empty walk at u and where dist[p][v] is None).  Neighbors are visited
-    in sorted order, so the walks are deterministic.
+    in Graph.adj's increasing order, so the walks are deterministic.
     """
     dist = [[None] * g.n, [None] * g.n]
     parent = [[None] * g.n, [None] * g.n]
@@ -45,7 +45,7 @@ def parity_distances(g: Graph, u: int):
     while queue:
         v, p = queue.popleft()
         q = p ^ 1
-        for w in sorted(g.adj[v]):
+        for w in g.adj[v]:
             if dist[q][w] is None:
                 dist[q][w] = dist[p][v] + 1
                 parent[q][w] = v
@@ -69,7 +69,7 @@ def _read_walk(g: Graph, parent, v: int, m: int) -> list:
     if pad:
         if not g.adj[v]:
             raise InfeasibleWalkError(f"vertex {v} has no neighbors to pad a walk with")
-        walk += [min(g.adj[v]), v] * pad
+        walk += [g.adj[v][0], v] * pad
     walk.reverse()
     return walk
 
@@ -201,10 +201,13 @@ def _wall_layout(n: int):
     return 1, [(d, d + 1) for d in range(2, n, 2)]
 
 
-def wall_positions(n: int, l: int, col: int) -> tuple:
-    """Wall-formation vertices at base column col, in slot order
-    ([loner], then per unit: rear, front, single)."""
+def wall_positions(n: int, l: int) -> tuple:
+    """Wall-formation vertices of R_{n,l} at base column ceil(l/2), in slot
+    order ([loner], then per unit: rear, front, single)."""
+    if n > 1 and l == 1:
+        raise ValueError("the wall formation needs two columns; R_{n,1} has one")
     g = build_tri_lattice(n, l)
+    col = (l + 1) // 2
     loner, units = _wall_layout(n)
     out = []
     if loner is not None:
@@ -238,11 +241,9 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
         formation_steps = len(moves)
         moves.extend((g.vertex_at(1, c + 1),) for c in range(1, l))
         return MovePlan(tuple(moves), formation_steps)
-    if l == 1:
-        raise ValueError("the wall formation needs two columns; R_{n,1} has one")
 
-    c0 = (l + 1) // 2
-    targets = wall_positions(n, l, c0)
+    targets = wall_positions(n, l)
+    c0 = g.coord_of(targets[0])[1]  # the wall's base column
     moves = list(simultaneous_repositioning(g, starts, targets))
     formation_steps = len(moves)
 

@@ -353,6 +353,15 @@ def test_strategy_empty_starts_places_no_lions(tmp_path, capsys, kind, need):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_wall_strategy_refuses_one_column(tmp_path, capsys, n):
+    """R_{n,1} has no room for the wall: exit 2 with the reason, not a KeyError."""
+    out = tmp_path / "m.txt"
+    assert main(["strategy", "wall", "-n", str(n), "-l", "1", "-o", str(out)]) == 2
+    assert "R_{n,1} has one" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wall_strategy_roundtrip(tmp_path, capsys):
     moves = tmp_path / "wall.txt"
     assert main(["strategy", "wall", "-n", "2", "-l", "3", "-o", str(moves)]) == 0
@@ -360,7 +369,7 @@ def test_wall_strategy_roundtrip(tmp_path, capsys):
     main(["graph", "tri", "-n", "2", "-l", "3", "-o", str(g_path)])
     g = build_tri_lattice(2, 3)
     from lionsweep.strategies import wall_positions
-    starts = ",".join(str(v) for v in wall_positions(2, 3, 2))
+    starts = ",".join(str(v) for v in wall_positions(2, 3))
     capsys.readouterr()
     code = main(["simulate", str(g_path), "--model", "caffeinated",
                  "--lions", starts, "--moves", str(moves)])

@@ -1,3 +1,7 @@
+import ast
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,10 +9,12 @@ from hypothesis import strategies as st
 from conftest import small_graphs
 from lionsweep.dynamics import exposure
 from lionsweep.errors import ParseError
-from lionsweep.graphs import (boundary, boundary_size_mask, build_circulant, build_square_grid,
-                              build_tri_lattice, build_triangle, check_vertices, has_odd_cycle,
-                              is_connected, load_graph, make_graph, mask_vertices,
+from lionsweep.graphs import (Graph, boundary, boundary_size_mask, build_circulant,
+                              build_square_grid, build_tri_lattice, build_triangle, check_vertices,
+                              has_odd_cycle, is_connected, load_graph, make_graph, mask_vertices,
                               save_graph, vertex_mask)
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lionsweep"
 
 
 def test_square_grid_counts():
@@ -219,6 +225,58 @@ def test_load_rejects_duplicates_and_garbage(tmp_path):
     path.write_text("0 1\n")
     with pytest.raises(ParseError):
         load_graph(path)
+
+
+def _assert_increasing_adjacency(g):
+    for nbrs in g.adj:
+        assert type(nbrs) is tuple
+        assert all(a < b for a, b in zip(nbrs, nbrs[1:]))
+
+
+def test_builders_and_load_give_increasing_adjacency(tmp_path):
+    """Graph.adj is the one neighbour order: strictly increasing tuples."""
+    for g in (build_square_grid(4), build_tri_lattice(3, 5), build_triangle(5),
+              build_circulant(9, 3), build_circulant(4, 2), make_graph(3, [(2, 0), (1, 0)])):
+        _assert_increasing_adjacency(g)
+    edges = list(build_tri_lattice(3, 4).edges())
+    random.Random(7).shuffle(edges)
+    path = tmp_path / "shuffled.txt"
+    path.write_text("vertices 12\n" + "".join(f"{v} {u}\n" for u, v in edges))
+    _assert_increasing_adjacency(load_graph(path))
+
+
+@pytest.mark.parametrize("adj", [((2, 1), (0,), (0,)),  # unsorted
+                                 ((1, 1), (0,)),  # duplicated
+                                 ((1, 5), (0,)),  # out of range
+                                 ((-1,), ()),  # negative
+                                 (frozenset({1}), (0,)),  # not a tuple
+                                 ([1], [0])])
+def test_graph_refuses_other_adjacency(adj):
+    with pytest.raises(ValueError):
+        Graph(len(adj), adj)
+
+
+def test_save_graph_writes_sorted_edges(tmp_path):
+    edges = [(3, 4), (0, 4), (1, 2), (0, 3), (2, 4), (0, 1)]
+    path = tmp_path / "g.txt"
+    save_graph(make_graph(5, edges), path)
+    assert path.read_text().splitlines() == ["vertices 5"] + [f"{u} {v}" for u, v in sorted(edges)]
+
+
+def test_only_graphs_orders_adjacency():
+    """No module but graphs.py re-derives the neighbour order: nothing calls
+    sorted or min on a ....adj[...] expression."""
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("sorted", "min")
+                    and any(isinstance(arg, ast.Subscript) and isinstance(arg.value, ast.Attribute)
+                            and arg.value.attr == "adj" for arg in node.args)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
 
 
 def test_make_graph_validates():

@@ -9,8 +9,8 @@ from conftest import random_connected_graph, small_graphs
 from lionsweep import dynamics, search
 from lionsweep.dynamics import (STAY, SimState, Trace, exposure, initial_state, is_swept, run,
                                 step, step_cleared_mask, validate_moves)
-from lionsweep.graphs import (build_circulant, build_square_grid, build_tri_lattice,
-                              build_triangle, make_graph, vertex_mask)
+from lionsweep.graphs import (boundary_size_mask, build_circulant, build_square_grid,
+                              build_tri_lattice, build_triangle, make_graph, vertex_mask)
 from lionsweep.search import (SearchLimits, _KeyCodes, _move_choices, _successor_keys, can_clear,
                               min_lions, verify_lemma_bounds)
 
@@ -305,6 +305,36 @@ def test_verify_lemma_bounds_flags_corrupted_trace():
     assert any(lemma == "growth-bound" for _, lemma, _ in report.violations)
 
 
+def test_verify_flags_a_boundary_stall():
+    """On R_{3,3}, C(0) = {0, 1} has the boundary {0, 1} of size 2k for k = 1,
+    yet the forged next record grows it: a boundary-stall at t=0, next to the
+    replay violation of a t=0 cleared set that is not the lions'."""
+    forged = Trace((SimState(0, (0,), frozenset({0, 1})),
+                    SimState(1, (1,), frozenset({0, 1, 2}))), ((1,),))
+    report = verify_lemma_bounds(R3, forged)
+    assert [(t, lemma) for t, lemma, _ in report.violations] == [(0, "replay"),
+                                                                 (0, "boundary-stall")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(dynamics.MODELS))
+def test_verify_boundary_stall_times_on_forged_traces(seed, model):
+    """On random records, the boundary-stall times are exactly the t with
+    growth and |boundary(C(t))| >= 2k, boundary_size_mask the reference."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, 2, 10)
+    k = rng.randint(1, 3)
+    states = [SimState(t, tuple(rng.randrange(g.n) for _ in range(k)),
+                       frozenset(v for v in range(g.n) if rng.random() < 0.5))
+              for t in range(rng.randint(1, 8))]
+    moves = tuple(tuple(rng.choice([STAY] + list(g.adj[p])) for p in a.lions) for a in states[1:])
+    report = verify_lemma_bounds(g, Trace(tuple(states), moves), model)
+    expected = [a.time for a, b in zip(states, states[1:])
+                if len(b.cleared) > len(a.cleared)
+                and boundary_size_mask(g.neighbor_masks, vertex_mask(a.cleared, g.n)) >= 2 * k]
+    assert [t for t, lemma, _ in report.violations if lemma == "boundary-stall"] == expected
+
+
 def _replace_state(trace, t, **fields):
     states = list(trace.states)
     states[t] = replace(states[t], **fields)
@@ -348,6 +378,16 @@ def test_canonical_starts_rejected_on_disconnected_graph():
         min_lions(two_edges, "free", 4)
     # explicit starts are still searched: one lion per component clears it
     assert can_clear(two_edges, 2, starts=[(0, 2)]).status == "cleared"
+
+
+def test_search_refuses_an_unknown_model():
+    """An unknown model is refused before any work: read as polite by the move
+    enumeration and as caffeinated by the successor keys, it gave a verdict."""
+    for k in (1, 3):
+        with pytest.raises(ValueError, match="unknown motion model"):
+            can_clear(R3, k, "bogus")
+    with pytest.raises(ValueError, match="unknown motion model"):
+        min_lions(R3, "bogus", 3)
 
 
 def test_limits_validation():

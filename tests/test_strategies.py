@@ -174,7 +174,7 @@ def test_repositioning_runs_one_bfs_per_lion(monkeypatch):
     monkeypatch.setattr(strategies, "parity_distances", counting)
     g = build_tri_lattice(3, 4)
     starts = (0, 5, 11, 7)
-    simultaneous_repositioning(g, starts, wall_positions(3, 4, 2))
+    simultaneous_repositioning(g, starts, wall_positions(3, 4))
     assert calls == list(starts)
 
 
@@ -268,11 +268,17 @@ def test_wall_lion_count_precondition():
 
 
 def test_wall_positions_shape():
-    pos = wall_positions(5, 8, 4)
+    pos = wall_positions(5, 8)
     assert len(pos) == 7  # floor(15/2)
     g = build_tri_lattice(5, 8)
     cols = sorted(g.coord_of(v)[1] for v in pos)
     assert cols == [4, 4, 4, 4, 4, 5, 5]
+
+
+def test_wall_positions_one_column():
+    with pytest.raises(ValueError, match=r"R_\{n,1\} has one"):
+        wall_positions(3, 1)
+    assert wall_positions(1, 1) == (0,)
 
 
 @pytest.mark.parametrize("n,l", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 5), (5, 6)])
