@@ -18,6 +18,9 @@ reads |boundary(C)| = |C| - |Safe| off it:
     exposure(), per state:  Safe, the cleared vertices with no contaminated
         neighbor, and the vacancies, the cleared lion positions v whose
         contaminated neighbors number at least one and at most the lions on v;
+        Safe costs a few whole-mask operations per index difference of the
+        graph's edges (graphs._interior_mask: 3 differences on R_{n,l}, so
+        about a dozen operations on |V|-bit ints), the vacancies O(k) more;
     step_cleared_mask(), per move step, O(k):  Safe | Occ', plus each vacancy
         whose contaminated neighbors are all targets of lions leaving it.
 
@@ -128,9 +131,10 @@ def exposure(adj_masks, positions, cleared: int) -> tuple:
     vacancy (1 << v, contaminated neighbors of v, indices of the lions on v)
     is a cleared lion position with contaminated neighbors, no more of them
     than lions on v: only such a vertex can stay cleared once vacated.
-    positions may be in any order and repeat vertices.
+    adj_masks is the graph's neighbor_masks and cleared a mask of its
+    vertices; positions may be in any order and repeat vertices.
     """
-    contaminated = ~cleared & ((1 << len(adj_masks)) - 1)
+    contaminated = adj_masks.full ^ cleared
     safe = _interior_mask(adj_masks, cleared)
     lions_at = {}
     for i, p in enumerate(positions):

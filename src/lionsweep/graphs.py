@@ -18,6 +18,13 @@ Coord = tuple[int, int]  # (row, col), 1-based
 VertexSet = frozenset  # subset of a graph's vertex indices
 
 
+class NeighborMasks(tuple):
+    """Graph.neighbor_masks: entry v is the mask of v's neighbours.  It also
+    carries full, the mask of every vertex, and shifts, the shift table: one
+    pair (d, low) for each index difference d > 0 of some edge, low being the
+    mask of the vertices u joined to u + d."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite simple undirected graph with optional grid coordinates."""
@@ -73,9 +80,16 @@ class Graph:
         return self.coords[v]
 
     @cached_property
-    def neighbor_masks(self) -> tuple:
-        """Per-vertex adjacency as bitmasks: bit u of entry v is set iff uv is an edge."""
-        return tuple(sum(1 << u for u in nbrs) for nbrs in self.adj)
+    def neighbor_masks(self) -> NeighborMasks:
+        """Per-vertex adjacency as bitmasks, bit u of entry v set iff uv is an
+        edge, carrying the graph's shift table (see NeighborMasks)."""
+        masks = NeighborMasks(sum(1 << u for u in nbrs) for nbrs in self.adj)
+        lows: dict = {}
+        for u, v in self.edges():
+            lows[v - u] = lows.get(v - u, 0) | 1 << u
+        masks.shifts = tuple(lows.items())
+        masks.full = (1 << self.n) - 1
+        return masks
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]],
@@ -175,40 +189,44 @@ def vertex_mask(vertices, n: int) -> int:
     return mask
 
 
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
+
+
 def mask_vertices(mask: int) -> tuple:
-    """The vertices of a bitmask, in increasing order."""
+    """The vertices of a bitmask, in increasing order: one table lookup per byte."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        for offset in _BYTE_BITS[byte]:
+            out.append(base + offset)
+        base += 8
     return tuple(out)
 
 
 def boundary_size_mask(adj_masks, s_mask: int) -> int:
-    """|boundary of the bitmask subset s_mask| under the given adjacency masks."""
+    """|boundary of the bitmask subset s_mask| in the graph of adj_masks, a
+    Graph.neighbor_masks."""
     return s_mask.bit_count() - _interior_mask(adj_masks, s_mask).bit_count()
 
 
 def _interior_mask(adj_masks, s: int) -> int:
-    """The vertices of the bitmask s with no neighbor outside s, walking
-    whichever of s and its complement has fewer vertices."""
-    outside = ~s & ((1 << len(adj_masks)) - 1)
-    interior = s
-    if outside.bit_count() <= s.bit_count():
-        rest = outside
-        while rest:
-            low = rest & -rest
-            interior &= ~adj_masks[low.bit_length() - 1]
-            rest ^= low
-    else:
-        rest = s
-        while rest:
-            low = rest & -rest
-            if adj_masks[low.bit_length() - 1] & outside:
-                interior ^= low
-            rest ^= low
-    return interior
+    """The vertices of the bitmask s, a subset of V, with no neighbor outside s.
+
+    Read off the shift table of adj_masks (see NeighborMasks): an edge
+    u ~ u + d takes a vertex of X at its low end up by d and one at its high
+    end down by d, so the neighbourhood of a mask X is
+
+        N(X) = union over d of ((X & low_d) << d) | ((X >> d) & low_d)
+
+    and interior(S) = S & ~N(V \\ S).  That is a few whole-mask operations
+    per index difference, whatever |V|: R_{n,l} has the differences 1, l - 1
+    and l, S_n has 1 and n.
+    """
+    outside = adj_masks.full ^ s
+    reached = 0
+    for d, low in adj_masks.shifts:
+        reached |= (outside & low) << d | (outside >> d) & low
+    return s & ~reached
 
 
 def is_connected(g: Graph) -> bool:

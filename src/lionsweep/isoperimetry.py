@@ -113,10 +113,14 @@ def falldown_check(n: int) -> FallDownReport:
     sq_adj, tri_adj = sq.neighbor_masks, tri.neighbor_masks
     mono_bad = []
     match_bad = []
+    image_counts = {}  # image -> its boundary counts in S_n and R_n; 70 images for n = 4
     for mask in range(1 << (n * n)):
         image = _fall_down_mask(n, mask, push_left=True)
-        b_sq = boundary_size_mask(sq_adj, image)
-        b_tri = boundary_size_mask(tri_adj, image)
+        counts = image_counts.get(image)
+        if counts is None:
+            counts = image_counts[image] = (boundary_size_mask(sq_adj, image),
+                                            boundary_size_mask(tri_adj, image))
+        b_sq, b_tri = counts
         if b_sq != b_tri:
             match_bad.append(mask)
         if b_sq > boundary_size_mask(sq_adj, mask) or b_tri > boundary_size_mask(tri_adj, mask):
@@ -130,18 +134,24 @@ def falldown_mismatches(n: int, direction: str = "down-right") -> Iterator[tuple
     """Yield (s, image, boundary_in_Sn, boundary_in_Rn) for every subset whose
     transformed image has different boundary sets in S_n and R_n: none for
     down-left, some from n = 4 on for down-right.  Compares boundary counts
-    (see falldown_check); sets are built only for the yield."""
+    (see falldown_check) once per image, and builds sets once per mismatching
+    image."""
     if direction not in ("down-left", "down-right"):
         raise ValueError(f"unknown fall-down direction {direction!r}")
     _check_budget("fall-down scan", n * n)
     sq, tri = _grid_pair(n)
     sq_adj, tri_adj = sq.neighbor_masks, tri.neighbor_masks
     push_left = direction == "down-left"
+    mismatch = {}  # image -> None, or (image, boundary_in_Sn, boundary_in_Rn) as sets
     for mask in range(1 << (n * n)):
         image = _fall_down_mask(n, mask, push_left=push_left)
-        if boundary_size_mask(sq_adj, image) != boundary_size_mask(tri_adj, image):
-            image_set = frozenset(mask_vertices(image))
-            yield (frozenset(mask_vertices(mask)), image_set, *boundary_in_both(n, image_set))
+        if image not in mismatch:
+            mismatch[image] = None
+            if boundary_size_mask(sq_adj, image) != boundary_size_mask(tri_adj, image):
+                image_set = frozenset(mask_vertices(image))
+                mismatch[image] = (image_set, *boundary_in_both(n, image_set))
+        if mismatch[image] is not None:
+            yield (frozenset(mask_vertices(mask)), *mismatch[image])
 
 
 @dataclass(frozen=True)

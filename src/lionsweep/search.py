@@ -216,7 +216,7 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     max_states, dominance = limits.max_states, limits.dominance_pruning
     n = g.n
     adj_masks = g.neighbor_masks
-    full = (1 << n) - 1
+    full = adj_masks.full
     codes = _KeyCodes(g.adj, k)
 
     start_list = _start_tuples(g, k, model, starts)

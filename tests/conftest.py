@@ -1,9 +1,13 @@
 import random
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from lionsweep.graphs import make_graph
+from lionsweep.graphs import (build_circulant, build_square_grid, build_tri_lattice,
+                              build_triangle, load_graph, make_graph, save_graph, vertex_mask)
 
 
 def random_connected_graph(rng: random.Random, n_min=2, n_max=12):
@@ -44,6 +48,45 @@ def dense_shuffled_graph(seed: int, n: int = 24, density: float = 0.6):
     edges = [(labels[u], labels[v]) for u in range(n) for v in range(u + 1, n)
              if rng.random() < density]
     return make_graph(n, edges)
+
+
+# Graphs of more than 64 vertices, so a mask spans several machine words: the
+# grids (index differences 1, l - 1 and l on R_{n,l}; 1 and n on S_n), the
+# triangle, circulants whose wraparound edges give the differences n-k..n-1,
+# and sparse graphs with shuffled labels, which have differences of every size.
+WIDE_GRAPHS = (("tri", 14, 48), ("tri", 6, 20), ("tri", 9, 9), ("square", 9), ("square", 14),
+               ("triangle", 12), ("circulant", 65, 1), ("circulant", 70, 3),
+               ("circulant", 130, 5), ("sparse", 1, 65), ("sparse", 2, 130), ("sparse", 3, 200))
+
+
+@lru_cache(maxsize=None)
+def wide_graph(spec: tuple):
+    """The graph of a WIDE_GRAPHS entry; a sparse one (a spanning tree on
+    shuffled labels plus n/4 more edges) is saved and read back with load_graph."""
+    kind, *args = spec
+    if kind != "sparse":
+        build = {"tri": build_tri_lattice, "square": build_square_grid,
+                 "triangle": build_triangle, "circulant": build_circulant}[kind]
+        return build(*args)
+    seed, n = args
+    rng = random.Random(seed)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = {(labels[rng.randrange(v)], labels[v]) for v in range(1, n)}
+    edges |= {tuple(rng.sample(range(n), 2)) for _ in range(n // 4)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sparse.txt"
+        save_graph(make_graph(n, edges), path)
+        return load_graph(path)
+
+
+def wide_masks(g, rng: random.Random) -> list:
+    """Subset masks of g: empty, V, a random half, the lower half of the
+    indices, random subsets, and the single vertices 63, 64 and |V| - 1,
+    where a mask crosses a machine word."""
+    full = (1 << g.n) - 1
+    return [0, full, vertex_mask(rng.sample(range(g.n), g.n // 2), g.n), (1 << g.n // 2) - 1,
+            *(rng.getrandbits(g.n) for _ in range(4)), 1 << 63, 1 << 64, 1 << g.n - 1]
 
 
 @pytest.fixture

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph
+from conftest import WIDE_GRAPHS, random_connected_graph, wide_graph, wide_masks
 from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, exposure, initial_state,
                                 is_monotone, is_swept, read_moves, read_trace, run,
                                 step, step_cleared_mask, validate_moves, write_moves,
                                 write_trace)
 from lionsweep.errors import ParseError
-from lionsweep.graphs import boundary, build_tri_lattice, make_graph, vertex_mask
+from lionsweep.graphs import (boundary, build_tri_lattice, make_graph, mask_vertices,
+                              vertex_mask)
 
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
 PATH2 = make_graph(2, [(0, 1)])
@@ -224,6 +225,26 @@ def test_two_part_kernel_matches_reference_rule(case):
     frame = exposure(g.neighbor_masks, lions, vertex_mask(cleared, g.n))
     expected = reference_cleared_update(g, cleared, lions, mv)
     assert step_cleared_mask(frame, targets) == vertex_mask(expected, g.n)
+
+
+@pytest.mark.parametrize("spec", WIDE_GRAPHS)
+def test_two_part_kernel_matches_reference_rule_on_wide_graphs(spec, rng):
+    """exposure and step_cleared_mask on masks of several machine words, with
+    lions stacked or alone at the word edges 63 and 64, at |V| - 1 and
+    elsewhere, standing on cleared vertices or, once in a while, not."""
+    g = wide_graph(spec)
+    for mask in wide_masks(g, rng):
+        for _ in range(6):
+            spots = rng.sample((63, 64, g.n - 1, rng.randrange(g.n)), rng.randint(1, 3))
+            lions = tuple(rng.choice(spots) for _ in range(rng.randint(1, 4)))
+            cleared = frozenset(mask_vertices(mask))
+            if rng.random() < 0.8:
+                cleared |= frozenset(lions)
+            mv = tuple(rng.choice((STAY,) + g.adj[p]) for p in lions)
+            targets = tuple(p if t == STAY else t for p, t in zip(lions, mv))
+            frame = exposure(g.neighbor_masks, lions, vertex_mask(cleared, g.n))
+            expected = reference_cleared_update(g, cleared, lions, mv)
+            assert step_cleared_mask(frame, targets) == vertex_mask(expected, g.n)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import small_graphs
+from conftest import WIDE_GRAPHS, small_graphs, wide_graph, wide_masks
 from lionsweep.dynamics import exposure
 from lionsweep.errors import ParseError
 from lionsweep.graphs import (Graph, boundary, boundary_size_mask, build_circulant,
@@ -167,9 +167,32 @@ def _assert_mask_kernels_match(g, mask):
 
 @given(graphs_with_masks())
 def test_mask_kernels_match_set_boundary(case):
-    """boundary_size_mask and exposure's Safe share one walk over the smaller
-    of S and its complement; both must agree with the set-based boundary."""
+    """boundary_size_mask and exposure's Safe share one shift-table
+    neighbourhood, _interior_mask; both must agree with the set-based boundary."""
     _assert_mask_kernels_match(*case)
+
+
+@pytest.mark.parametrize("spec", WIDE_GRAPHS)
+def test_mask_kernels_match_set_boundary_on_wide_graphs(spec, rng):
+    """The shift table on masks of several machine words, shifts across the
+    word edges at bits 63 and 64 included."""
+    g = wide_graph(spec)
+    assert g.n > 64
+    for mask in wide_masks(g, rng):
+        _assert_mask_kernels_match(g, mask)
+
+
+def test_neighbor_masks_shift_table():
+    """One (d, low) pair per index difference d of an edge, low holding the
+    lower end u of every edge u ~ u + d."""
+    g = build_tri_lattice(3, 4)  # differences 1 (right), 3 (diagonal) and 4 (up)
+    masks = g.neighbor_masks
+    assert masks.full == (1 << 12) - 1
+    assert sorted(d for d, _ in masks.shifts) == [1, 3, 4]
+    for d, low in masks.shifts:
+        assert mask_vertices(low) == tuple(u for u, v in g.edges() if v - u == d)
+    empty = make_graph(3, []).neighbor_masks
+    assert (empty, empty.shifts, empty.full) == ((0, 0, 0), (), 7)
 
 
 @pytest.mark.parametrize("g", [make_graph(0, []), make_graph(5, []), make_graph(3, [(0, 1)]),
@@ -284,6 +307,20 @@ def test_make_graph_validates():
         make_graph(2, [(0, 0)])
     with pytest.raises(ValueError):
         make_graph(2, [(0, 5)])
+
+
+def test_mask_vertices_round_trip_up_to_700_bits(rng):
+    """Every width from 0 to 700 bits, with vertices at the byte and word
+    edges 7, 8, 63, 64 and 671 and at the top bit; the result increases."""
+    assert mask_vertices(0) == ()
+    for width in range(701):
+        edges = [v for v in (7, 8, 63, 64, 671, width - 1) if 0 <= v < width]
+        for vertices in (edges, rng.sample(range(width), rng.randint(0, width)), range(width)):
+            mask = vertex_mask(vertices, width)
+            got = mask_vertices(mask)
+            assert got == tuple(sorted(set(vertices)))
+            assert all(a < b for a, b in zip(got, got[1:]))
+            assert vertex_mask(got, width) == mask
 
 
 @given(st.sets(st.integers(0, 39)))
