@@ -85,8 +85,8 @@ def wide_masks(g, rng: random.Random) -> list:
     indices, random subsets, and the single vertices 63, 64 and |V| - 1,
     where a mask crosses a machine word."""
     full = (1 << g.n) - 1
-    return [0, full, vertex_mask(rng.sample(range(g.n), g.n // 2), g.n), (1 << g.n // 2) - 1,
-            *(rng.getrandbits(g.n) for _ in range(4)), 1 << 63, 1 << 64, 1 << g.n - 1]
+    return [0, full, vertex_mask(rng.sample(range(g.n), g.n // 2), g.n), (1 << (g.n // 2)) - 1,
+            *(rng.getrandbits(g.n) for _ in range(4)), 1 << 63, 1 << 64, 1 << (g.n - 1)]
 
 
 @pytest.fixture

@@ -314,8 +314,9 @@ def test_mask_vertices_round_trip_up_to_700_bits(rng):
     edges 7, 8, 63, 64 and 671 and at the top bit; the result increases."""
     assert mask_vertices(0) == ()
     for width in range(701):
-        edges = [v for v in (7, 8, 63, 64, 671, width - 1) if 0 <= v < width]
-        for vertices in (edges, rng.sample(range(width), rng.randint(0, width)), range(width)):
+        byte_edges = [v for v in (7, 8, 63, 64, 671, width - 1) if 0 <= v < width]
+        for vertices in (byte_edges, rng.sample(range(width), rng.randint(0, width)),
+                         range(width)):
             mask = vertex_mask(vertices, width)
             got = mask_vertices(mask)
             assert got == tuple(sorted(set(vertices)))
