@@ -31,6 +31,14 @@ cleared vertex in each state reachable from initial_state(), as Occ' is
 cleared; exposure() still skips a lion on a contaminated vertex, which the
 rule never clears unless a lion ends the step there.
 
+run() and verify carry the cleared set over from one record to the next:
+only the step's symmetric difference C(t) ^ C(t+1) is converted between mask
+and vertex set, and one set or mask operation flips it.  k lions add at most
+k vertices a step, and on the sweeps and walls of R_{n,l} a step loses few,
+so a record costs O(|C(t) ^ C(t+1)|) Python work plus one O(|C|) operation
+in C, not a Python loop over C.  step() still converts the whole set both
+ways.
+
 The search calls exposure() once per state and never step_cleared_mask():
 it reads every successor of a state off the frame in one batch (see
 search._successor_keys), and its tests hold each batch to this kernel.
@@ -176,7 +184,10 @@ class InvalidMoveError(ValueError):
 
 def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
     """Fold the update over every step of a move list on one cleared mask,
-    validating each step against the model; is_swept finds the sweep time."""
+    validating each step against the model; is_swept finds the sweep time.
+    Each record's cleared set is the previous record's with the vertices of
+    the step's mask difference flipped, so a step converts the few vertices
+    that changed, not all of C."""
     state = initial_state(g, lions)
     states = [state]
     applied = []
@@ -189,8 +200,9 @@ def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
         violations = validate_moves(g, model, state, mv)
         if violations:
             raise InvalidMoveError(i, violations)
-        positions, cleared = _advance(exposure(adj_masks, state.lions, cleared), state.lions, mv)
-        state = SimState(i + 1, positions, frozenset(mask_vertices(cleared)))
+        positions, new = _advance(exposure(adj_masks, state.lions, cleared), state.lions, mv)
+        state = SimState(i + 1, positions, state.cleared ^ frozenset(mask_vertices(cleared ^ new)))
+        cleared = new
         states.append(state)
         applied.append(mv)
     return Trace(tuple(states), tuple(applied))

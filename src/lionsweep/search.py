@@ -365,6 +365,12 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
     |C(t+1)| - |C(t)| <= k and that |boundary(C(t))| >= 2k forces
     |C(t+1)| <= |C(t)|: proved facts, so a violation means an engine bug or
     an edited trace.
+
+    Record 0's cleared set becomes a mask in full; each later mask is the
+    previous one with the two records' symmetric difference flipped, a few
+    vertices a step (at most k gained). vertex_mask range-checks each vertex
+    where it first enters a record, before it becomes a bit, so a forged
+    vertex such as 10**12 raises ValueError without a huge mask.
     """
     if model not in dynamics.MODELS:  # validate_moves checks it only on a replayed move
         raise ValueError(f"unknown motion model {model!r}")
@@ -376,7 +382,7 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
     violations = [] if replaying else [(states[0].time, "replay", "cleared set is not the lions'")]
     cleared = vertex_mask(states[0].cleared, g.n)
     for mv, a, b in zip(trace.moves, states, states[1:]):
-        next_cleared = vertex_mask(b.cleared, g.n)
+        next_cleared = cleared ^ vertex_mask(a.cleared ^ b.cleared, g.n)
         growth = next_cleared.bit_count() - cleared.bit_count()
         frame = exposure(g.neighbor_masks, a.lions, cleared)
         if growth > k:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lionsweep.graphs import (build_circulant, build_square_grid, build_tri_lattice,
                               build_triangle, load_graph, make_graph, save_graph, vertex_mask)
+from lionsweep.strategies import row_sweep_moves
 
 
 def random_connected_graph(rng: random.Random, n_min=2, n_max=12):
@@ -87,6 +88,16 @@ def wide_masks(g, rng: random.Random) -> list:
     full = (1 << g.n) - 1
     return [0, full, vertex_mask(rng.sample(range(g.n), g.n // 2), g.n), (1 << (g.n // 2)) - 1,
             *(rng.getrandbits(g.n) for _ in range(4)), 1 << 63, 1 << 64, 1 << (g.n - 1)]
+
+
+@lru_cache(maxsize=None)
+def row_sweep_14_48():
+    """R_{14,48}, row-sweep starts on its rightmost column and the sweep's
+    MovePlan: 658 gathering steps, then 658 steps that each clear a vertex,
+    up to all 672. The largest trace of the simulate benchmark."""
+    g = build_tri_lattice(14, 48)
+    starts = tuple(g.vertex_at(r, 48) for r in range(1, 15))
+    return g, starts, row_sweep_moves(14, 48, starts)
 
 
 @pytest.fixture

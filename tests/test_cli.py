@@ -4,9 +4,10 @@ import re
 
 import pytest
 
+from conftest import row_sweep_14_48
 from lionsweep.cli import build_parser, main
-from lionsweep.dynamics import STAY, write_moves
-from lionsweep.graphs import build_tri_lattice, load_graph
+from lionsweep.dynamics import STAY, run, write_moves, write_trace
+from lionsweep.graphs import build_tri_lattice, load_graph, save_graph
 
 
 @pytest.fixture
@@ -174,6 +175,42 @@ def test_verify_rejects_lions_off_the_graph(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(r2), "--trace", str(trace)]) == 10
     assert "t=1 replay: move [3] is not a step to adjacent vertices" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("vertex", [9, 10 ** 12])
+def test_verify_rejects_a_later_cleared_vertex_off_the_graph(tmp_path, capsys, vertex):
+    """verify range-checks record 0 in full and every later vertex where it
+    first enters a record, before it becomes a bit of a mask."""
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    trace = tmp_path / "forged.jsonl"
+    _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
+                           {"t": 1, "lions": [1], "cleared": [1], "move": [1]},
+                           {"t": 2, "lions": [1], "cleared": [1, vertex], "move": [STAY]}])
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+    assert f"vertex {vertex} not in graph with 4 vertices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_verify_reports_one_vertex_edited_mid_sweep(tmp_path, capsys, edit):
+    """On the R_{14,48} row-sweep trace, one cleared vertex dropped from or
+    added to a record halfway through the sweep is a replay violation at
+    that record, and the only violation."""
+    g, starts, plan = row_sweep_14_48()
+    graph, trace = tmp_path / "r14_48.txt", tmp_path / "sweep.jsonl"
+    save_graph(g, graph)
+    write_trace(run(g, "free", starts, plan.moves), trace)
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    t = plan.formation_steps + 329
+    true_cleared = records[t]["cleared"]
+    vertex = true_cleared[100] if edit == "drop" else max(set(range(g.n)) - set(true_cleared))
+    records[t]["cleared"] = sorted(set(true_cleared) ^ {vertex})
+    _write_records(trace, records)
+    capsys.readouterr()
+    assert main(["verify", str(graph), "--trace", str(trace)]) == 10
+    assert capsys.readouterr().out == (f"t={t} replay: cleared {records[t]['cleared']}, "
+                                       f"replay gives {true_cleared}\n")
 
 
 @pytest.mark.parametrize("model, lions, move, detail", [

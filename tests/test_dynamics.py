@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import WIDE_GRAPHS, random_connected_graph, wide_graph, wide_masks
+from conftest import WIDE_GRAPHS, random_connected_graph, row_sweep_14_48, wide_graph, wide_masks
 from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, exposure, initial_state,
                                 is_monotone, is_swept, read_moves, read_trace, run,
                                 step, step_cleared_mask, validate_moves, write_moves,
@@ -162,17 +162,23 @@ def test_step_matches_reference_rule(rng):
             assert state.cleared == expected
 
 
-def draw_move(draw, g, model, positions) -> tuple:
-    """One move step of the motion model for lions at positions."""
+def draw_move(pick, g, model, positions) -> tuple:
+    """One move step of the motion model for lions at positions; pick(seq)
+    chooses one element of a sequence (a Hypothesis draw or rng.choice)."""
     if model == "caffeinated":
-        return tuple(draw(st.sampled_from(sorted(g.adj[p]))) for p in positions)
+        return tuple(pick(g.adj[p]) for p in positions)
     if model == "free":
-        return tuple(draw(st.sampled_from([STAY] + sorted(g.adj[p]))) for p in positions)
+        return tuple(pick((STAY,) + g.adj[p]) for p in positions)
     mv = [STAY] * len(positions)  # polite: everyone stays, or one lion moves
-    i = draw(st.integers(-1, len(positions) - 1))
+    i = pick(range(-1, len(positions)))
     if i >= 0:
-        mv[i] = draw(st.sampled_from(sorted(g.adj[positions[i]])))
+        mv[i] = pick(g.adj[positions[i]])
     return tuple(mv)
+
+
+def sampled(draw):
+    """draw_move's pick for a Hypothesis draw."""
+    return lambda seq: draw(st.sampled_from(seq))
 
 
 def draw_connected_graph(draw, n):
@@ -192,7 +198,7 @@ def move_lists(draw):
     lions = tuple(draw(st.lists(st.integers(0, g.n - 1), max_size=3)))
     positions, moves = lions, []
     for _ in range(draw(st.integers(0, 8))):
-        mv = draw_move(draw, g, model, positions)
+        mv = draw_move(sampled(draw), g, model, positions)
         moves.append(mv)
         positions = tuple(p if t == STAY else t for p, t in zip(positions, mv))
     return g, model, lions, moves
@@ -211,7 +217,7 @@ def kernel_cases(draw):
     cleared = frozenset(draw(st.sets(st.integers(0, n - 1))))
     if draw(st.booleans()):  # as in every reachable state; else some may stand uncleared
         cleared |= frozenset(lions)
-    mv = draw_move(draw, g, draw(st.sampled_from(MODELS)), lions)
+    mv = draw_move(sampled(draw), g, draw(st.sampled_from(MODELS)), lions)
     return g, cleared, tuple(lions), mv
 
 
@@ -247,10 +253,7 @@ def test_two_part_kernel_matches_reference_rule_on_wide_graphs(spec, rng):
             assert step_cleared_mask(frame, targets) == vertex_mask(expected, g.n)
 
 
-@settings(max_examples=200, deadline=None)
-@given(move_lists())
-def test_run_is_the_fold_of_step_and_of_the_reference_rule(case):
-    g, model, lions, moves = case
+def assert_run_is_the_fold_of_step_and_of_the_reference_rule(g, model, lions, moves):
     state = initial_state(g, lions)
     states = [state]
     for mv in moves:
@@ -262,6 +265,44 @@ def test_run_is_the_fold_of_step_and_of_the_reference_rule(case):
     tr = run(g, model, lions, moves)
     assert tr.states == tuple(states)
     assert tr.moves == tuple(moves)
+
+
+@settings(max_examples=200, deadline=None)
+@given(move_lists())
+def test_run_is_the_fold_of_step_and_of_the_reference_rule(case):
+    assert_run_is_the_fold_of_step_and_of_the_reference_rule(*case)
+
+
+@pytest.mark.parametrize("spec", WIDE_GRAPHS)
+def test_run_is_the_fold_of_step_and_of_the_reference_rule_on_wide_graphs(spec, rng):
+    """run carries each record over from the one before by the step's
+    difference: on masks of several machine words, 150 valid steps under each
+    model, the lions starting alone or stacked at the word edges 63 and 64,
+    at |V| - 1 and elsewhere."""
+    g = wide_graph(spec)
+    for model in MODELS:
+        spots = rng.sample((63, 64, g.n - 1, rng.randrange(g.n)), rng.randint(1, 3))
+        lions = tuple(rng.choice(spots) for _ in range(rng.randint(1, 5)))
+        positions, moves = lions, []
+        for _ in range(150):
+            moves.append(draw_move(rng.choice, g, model, positions))
+            positions = tuple(p if t == STAY else t for p, t in zip(positions, moves[-1]))
+        assert_run_is_the_fold_of_step_and_of_the_reference_rule(g, model, lions, moves)
+
+
+def test_run_folds_the_largest_sweep_and_a_step_that_loses_a_column():
+    """The R_{14,48} row sweep grows the cleared set a vertex a step; cut
+    where the lions hold column 24, then every lion steps back to column 23
+    at once, and column 24 is lost in one step."""
+    g, starts, plan = row_sweep_14_48()
+    moves = list(plan.moves[:plan.formation_steps + 14 * 23])
+    moves.append(tuple(g.vertex_at(r, 23) for r in range(1, 15)))
+    assert_run_is_the_fold_of_step_and_of_the_reference_rule(g, "free", starts, moves)
+    *_, before, after = run(g, "free", starts, moves).states
+    assert before.cleared - after.cleared == {g.vertex_at(r, 24) for r in range(1, 15)}
+    assert after.cleared < before.cleared
+    tr = run(g, "free", starts, plan.moves)
+    assert [len(s.cleared) for s in tr.states[plan.formation_steps:]] == list(range(14, 673))
 
 
 def test_lemma_bounds_on_random_traces(rng):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_connected_graph, small_graphs
+from conftest import random_connected_graph, row_sweep_14_48, small_graphs
 from lionsweep import dynamics, search
 from lionsweep.dynamics import (STAY, SimState, Trace, exposure, initial_state, is_swept, run,
                                 step, step_cleared_mask, validate_moves)
 from lionsweep.graphs import (boundary_size_mask, build_circulant, build_square_grid,
-                              build_tri_lattice, build_triangle, make_graph, vertex_mask)
+                              build_tri_lattice, build_triangle, make_graph, mask_vertices,
+                              vertex_mask)
 from lionsweep.search import (SearchLimits, _KeyCodes, _move_choices, _successor_keys, can_clear,
                               min_lions, verify_lemma_bounds)
 
@@ -291,6 +292,32 @@ def test_verify_lemma_bounds_on_row_sweep_trace():
     plan = row_sweep_moves(3, 3, starts)
     tr = run(R3, "free", starts, plan.moves)
     assert verify_lemma_bounds(R3, tr).ok
+
+
+def test_run_and_verify_convert_only_each_step_difference(monkeypatch):
+    """run builds each record from the one before and the step's symmetric
+    difference, and verify each mask likewise: on the R_{14,48} row sweep,
+    run's mask_vertices calls convert sum_t |C(t) ^ C(t+1)| bits and verify's
+    vertex_mask calls |C(0)| more elements, not sum_t |C(t)|."""
+    g, starts, plan = row_sweep_14_48()
+    converted = {"run": 0, "verify": 0}
+
+    def counted_mask_vertices(mask):
+        converted["run"] += mask.bit_count()
+        return mask_vertices(mask)
+
+    def counted_vertex_mask(vertices, n):
+        vertices = tuple(vertices)
+        converted["verify"] += len(vertices)
+        return vertex_mask(vertices, n)
+
+    monkeypatch.setattr(dynamics, "mask_vertices", counted_mask_vertices)
+    monkeypatch.setattr(search, "vertex_mask", counted_vertex_mask)
+    tr = run(g, "free", starts, plan.moves)
+    assert verify_lemma_bounds(g, tr).ok
+    differences = sum(len(a.cleared ^ b.cleared) for a, b in zip(tr.states, tr.states[1:]))
+    assert converted == {"run": differences, "verify": len(starts) + differences}
+    assert differences * 50 < sum(len(s.cleared) for s in tr.states)
 
 
 def test_verify_lemma_bounds_flags_corrupted_trace():
