@@ -35,11 +35,10 @@ def _build_family(args) -> graphs.Graph:
         return graphs.build_tri_lattice(args.n, args.l)
     if args.family == "triangle":
         return graphs.build_triangle(args.n)
-    if args.family == "circulant":
-        if args.k is None:
-            raise ValueError("circulant needs -k")
-        return graphs.build_circulant(args.n, args.k)
-    raise ValueError(f"unknown family {args.family!r}")
+    # circulant: the parser's choices admit no other family
+    if args.k is None:
+        raise ValueError("circulant needs -k")
+    return graphs.build_circulant(args.n, args.k)
 
 
 def cmd_graph(args) -> int:
@@ -95,27 +94,20 @@ def cmd_search(args) -> int:
     starts = [_parse_ints(args.starts)] if args.starts is not None else "canonical"
     if args.min:
         result = search.min_lions(g, args.model, args.kmax, limits)
+        verdict = result.verdict
         if result.status == "found":
-            v = result.verdict
-            print(f"k* = {result.k} (states={v.states_explored}, peak_frontier={v.peak_frontier})")
-            if args.witness_out:
-                dynamics.write_trace(v.trace, args.witness_out)
-            return EXIT_OK
-        if result.status == "unknown":
-            print(f"unknown: {result.detail}")
-            return EXIT_UNKNOWN
-        print(result.detail)
-        return EXIT_NEGATIVE
-    verdict = search.can_clear(g, args.k, args.model, starts, limits)
-    print(f"{verdict.status} (states={verdict.states_explored}, "
-          f"peak_frontier={verdict.peak_frontier})")
-    if verdict.status == "cleared":
-        if args.witness_out:
-            dynamics.write_trace(verdict.trace, args.witness_out)
-        return EXIT_OK
-    if verdict.status == "impossible":
-        return EXIT_NEGATIVE
-    return EXIT_UNKNOWN
+            print(f"k* = {result.k} (states={verdict.states_explored}, "
+                  f"peak_frontier={verdict.peak_frontier})")
+        else:
+            print(f"unknown: {result.detail}" if result.status == "unknown" else result.detail)
+    else:
+        verdict = search.can_clear(g, args.k, args.model, starts, limits)
+        print(f"{verdict.status} (states={verdict.states_explored}, "
+              f"peak_frontier={verdict.peak_frontier})")
+    status = verdict.status if verdict is not None else None  # --min's not_found has none
+    if status == "cleared" and args.witness_out:
+        dynamics.write_trace(verdict.trace, args.witness_out)
+    return {"cleared": EXIT_OK, "unknown": EXIT_UNKNOWN}.get(status, EXIT_NEGATIVE)
 
 
 def cmd_cheeger(args) -> int:

@@ -36,8 +36,9 @@ only the step's symmetric difference C(t) ^ C(t+1) is converted between mask
 and vertex set, and one set or mask operation flips it.  k lions add at most
 k vertices a step, and on the sweeps and walls of R_{n,l} a step loses few,
 so a record costs O(|C(t) ^ C(t+1)|) Python work plus one O(|C|) operation
-in C, not a Python loop over C.  step() still converts the whole set both
-ways.
+in C, not a Python loop over C.  step() is that fold over one move: it
+converts the whole set in, as SimState holds a frozenset, and only the
+difference out.
 
 The search calls exposure() once per state and never step_cleared_mask():
 it reads every successor of a state off the frame in one batch (see
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParseError
 from .graphs import Graph, _interior_mask, check_vertices, mask_vertices, vertex_mask
@@ -115,15 +116,10 @@ def step(g: Graph, state: SimState, mv: MoveStep) -> SimState:
     """Apply one synchronous move step and the contamination update.
 
     The caller is responsible for motion-model checks; a non-adjacent move
-    has no defined semantics, so step validates under the free model and
-    raises InvalidMoveError at step state.time.
+    or one of the wrong length has no defined semantics, so step validates
+    under the free model and raises InvalidMoveError at step state.time.
     """
-    violations = validate_moves(g, "free", state, mv)
-    if violations:
-        raise InvalidMoveError(state.time, violations)
-    frame = exposure(g.neighbor_masks, state.lions, vertex_mask(state.cleared, g.n))
-    positions, cleared = _advance(frame, state.lions, mv)
-    return SimState(state.time + 1, positions, frozenset(mask_vertices(cleared)))
+    return next(_fold(g, "free", state, (tuple(mv),)))
 
 
 def _advance(frame, lions, mv: MoveStep) -> tuple:
@@ -173,8 +169,8 @@ def step_cleared_mask(frame, targets) -> int:
 
 class InvalidMoveError(ValueError):
     """Raised by step() and run() when a move fails validation; carries the step
-    index and validate_moves' violations, or for a step of the wrong length in
-    run() a description of it."""
+    index and validate_moves' violations, or for a step of the wrong length a
+    description of it."""
 
     def __init__(self, step_index: int, violations):
         super().__init__(f"invalid move at step {step_index}: {violations}")
@@ -183,29 +179,32 @@ class InvalidMoveError(ValueError):
 
 
 def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
-    """Fold the update over every step of a move list on one cleared mask,
-    validating each step against the model; is_swept finds the sweep time.
-    Each record's cleared set is the previous record's with the vertices of
-    the step's mask difference flipped, so a step converts the few vertices
-    that changed, not all of C."""
-    state = initial_state(g, lions)
-    states = [state]
-    applied = []
+    """Fold the update over every step of a move list, validating each step
+    against the model; is_swept finds the sweep time."""
+    start = initial_state(g, lions)
+    moves = tuple(map(tuple, moves))
+    return Trace((start, *_fold(g, model, start, moves)), moves)
+
+
+def _fold(g: Graph, model: str, state: SimState, moves: Iterable) -> Iterator[SimState]:
+    """The records after state, one per move step (a tuple), on one cleared
+    mask. Each step is validated against the model, and each record's cleared
+    set is the previous record's with the vertices of the step's mask
+    difference flipped, so a step converts the few vertices that changed, not
+    all of C."""
     adj_masks = g.neighbor_masks
     cleared = vertex_mask(state.cleared, g.n)
-    for i, mv in enumerate(moves):
-        mv = tuple(mv)
+    for mv in moves:
         if len(mv) != len(state.lions):  # validate_moves raises a bare ValueError on this
-            raise InvalidMoveError(i, f"{len(mv)} targets for {len(state.lions)} lions")
+            raise InvalidMoveError(state.time, f"{len(mv)} targets for {len(state.lions)} lions")
         violations = validate_moves(g, model, state, mv)
         if violations:
-            raise InvalidMoveError(i, violations)
+            raise InvalidMoveError(state.time, violations)
         positions, new = _advance(exposure(adj_masks, state.lions, cleared), state.lions, mv)
-        state = SimState(i + 1, positions, state.cleared ^ frozenset(mask_vertices(cleared ^ new)))
+        state = SimState(state.time + 1, positions,
+                         state.cleared ^ frozenset(mask_vertices(cleared ^ new)))
         cleared = new
-        states.append(state)
-        applied.append(mv)
-    return Trace(tuple(states), tuple(applied))
+        yield state
 
 
 def is_swept(tr: Trace, g: Graph) -> Optional[int]:

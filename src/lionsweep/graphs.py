@@ -189,17 +189,13 @@ def vertex_mask(vertices, n: int) -> int:
     return mask
 
 
-_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
-
-
 def mask_vertices(mask: int) -> tuple:
-    """The vertices of a bitmask, in increasing order: one table lookup per byte."""
+    """The vertices of a bitmask, in increasing order: one step per set bit."""
     out = []
-    base = 0
-    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
-        for offset in _BYTE_BITS[byte]:
-            out.append(base + offset)
-        base += 8
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

@@ -36,7 +36,9 @@ from .graphs import Graph, check_vertices, has_odd_cycle, is_connected, mask_ver
 
 @dataclass(frozen=True)
 class SearchLimits:
-    max_states: int = 1_000_000  # bounds the depth too: d + 1 states lead to depth d
+    # the search returns unknown only when it would admit a state past this
+    # many; it bounds the depth too: d + 1 states lead to depth d
+    max_states: int = 1_000_000
     dominance_pruning: bool = True
 
     def __post_init__(self):
@@ -204,9 +206,11 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     """Decide whether k lions under the model can sweep g, exhaustively.
 
     Returns Cleared with a witness trace, Impossible after exhausting the
-    reachable deduplicated state space, or Unknown when a limit is hit
-    (never misreported as Impossible).  Raises ValueError on an unknown model
-    or unsound starts.
+    reachable deduplicated state space, or Unknown only when it would admit
+    a state past limits.max_states: repeats, dominated states and a clearing
+    successor never end the search, so a search that runs out of new states
+    at the limit is Impossible, proven, as every reachable state was admitted
+    or dominated.  Raises ValueError on an unknown model or unsound starts.
     """
     if model not in dynamics.MODELS:
         raise ValueError(f"unknown motion model {model!r}")
@@ -246,13 +250,12 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         actual = list(start_positions)
         steps = []
         for prev_sorted, targets in hops:
-            order = sorted(range(k), key=lambda i: (actual[i], i))
+            order = sorted(range(k), key=actual.__getitem__)  # stable: ties keep lion order
+            assert [actual[lion] for lion in order] == list(prev_sorted)
             mv = [STAY] * k
-            for rank, lion in enumerate(order):
-                assert actual[lion] == prev_sorted[rank]
-                mv[lion] = STAY if targets[rank] == actual[lion] else targets[rank]
-                if mv[lion] != STAY:
-                    actual[lion] = mv[lion]
+            for lion, t in zip(order, targets):
+                if t != actual[lion]:
+                    mv[lion] = actual[lion] = t
             steps.append(tuple(mv))
         return run(g, model, start_positions, steps)
 
@@ -271,40 +274,27 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     while frontier:
         peak = max(peak, len(frontier))
         key = frontier.popleft()
-        successors = expand(key)[1]
-        if len(parents) < max_states:
-            for new_key in itertools.filterfalse(offered.__contains__, successors):
-                new_cleared = new_key & full
-                if new_cleared == full:
-                    parents[new_key] = key
-                    return SearchVerdict("cleared", witness(new_key), len(parents), peak)
-                offered.add(new_key)
-                if dominance:
-                    pc = new_key ^ new_cleared
-                    masks = antichains.get(pc)
-                    if masks is None:
-                        antichains[pc] = [new_cleared]
-                    elif any(new_cleared | m == m for m in masks):
-                        continue
-                    else:
-                        antichains[pc] = [m for m in masks if m | new_cleared != new_cleared]
-                        antichains[pc].append(new_cleared)
+        for new_key in itertools.filterfalse(offered.__contains__, expand(key)[1]):
+            new_cleared = new_key & full
+            if new_cleared == full:
                 parents[new_key] = key
-                frontier.append(new_key)
-                if len(parents) >= max_states:
-                    break
-            else:
-                continue
-        # the state limit is reached: the next successor offered, repeats
-        # included, ends the search, as cleared only if it clears the graph
-        new_key = next(successors, None)
-        if new_key is None:
-            continue
-        if new_key & full == full:
+                return SearchVerdict("cleared", witness(new_key), len(parents), peak)
+            offered.add(new_key)
+            if dominance:
+                pc = new_key ^ new_cleared
+                masks = antichains.get(pc)
+                if masks is None:
+                    antichains[pc] = [new_cleared]
+                elif any(new_cleared | m == m for m in masks):
+                    continue
+                else:
+                    antichains[pc] = [m for m in masks if m | new_cleared != new_cleared]
+                    antichains[pc].append(new_cleared)
+            if len(parents) >= max_states:
+                return SearchVerdict("unknown", None, len(parents), peak,
+                                     f"state limit {max_states} reached")
             parents[new_key] = key
-            return SearchVerdict("cleared", witness(new_key), len(parents), peak)
-        return SearchVerdict("unknown", None, len(parents), peak,
-                             f"state limit {max_states} reached")
+            frontier.append(new_key)
 
     return SearchVerdict("impossible", None, len(parents), peak)
 

@@ -78,6 +78,8 @@ def test_search_exit_codes(tmp_path, capsys):
     r2 = tmp_path / "r2.txt"
     main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
     assert main(["search", str(r2), "--model", "free", "-k", "1"]) == 10
+    # the search runs out of new states at the limit: impossible, proven
+    assert main(["search", str(r2), "--model", "free", "-k", "1", "--max-states", "4"]) == 10
     witness = tmp_path / "witness.jsonl"
     assert main(["search", str(r2), "--model", "free", "-k", "2",
                  "--witness-out", str(witness)]) == 0

@@ -88,6 +88,9 @@ def test_step_rejects_non_adjacent():
     with pytest.raises(InvalidMoveError) as exc:
         step(PATH3, later, (0,))
     assert exc.value.step_index == later.time == 2
+    with pytest.raises(InvalidMoveError) as exc:  # validate_moves raises a bare ValueError
+        step(PATH3, later, (0, 2))
+    assert (exc.value.step_index, exc.value.violations) == (2, "2 targets for 1 lions")
 
 
 def test_run_and_is_swept():

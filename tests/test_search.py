@@ -106,18 +106,22 @@ def test_search_counts_are_pinned(g, model, k, starts, dominance, expected):
 
 
 # (status, states_explored, peak_frontier, detail) at state limits around the
-# unlimited count S: once the admitted count reaches the limit, the next
-# successor offered, a repeat included, ends the search, as cleared only if
-# it clears the graph (so R3 at S - 1 is unknown, C82 at S - 1 cleared)
+# unlimited count S: the search is unknown only when it would admit a state
+# past the limit. Repeats, dominated keys and a clearing successor never end
+# it, so a cleared search is cleared at S - 1 (its clearing key is counted,
+# not admitted), and one that runs out of new states at the limit is
+# impossible, as on R2 and R3 with one lion
 @pytest.mark.parametrize("g, model, k, dominance, max_states, expected", [
+    (R2, "free", 1, True, 4, ("impossible", 4, 2, "")),
+    (R3, "free", 1, True, 9, ("impossible", 9, 3, "")),
     (R3, "free", 3, True, 1, ("unknown", 1, 1, "state limit 1 reached")),
     (R3, "free", 3, True, 2, ("unknown", 2, 1, "state limit 2 reached")),
-    (R3, "free", 3, True, 925, ("unknown", 925, 513, "state limit 925 reached")),
+    (R3, "free", 3, True, 925, ("cleared", 926, 513, "")),
     (R3, "free", 3, True, 926, ("cleared", 926, 513, "")),
     (R3, "free", 3, True, 927, ("cleared", 926, 513, "")),
     (R3, "free", 3, False, 1, ("unknown", 1, 1, "state limit 1 reached")),
     (R3, "free", 3, False, 2, ("unknown", 2, 1, "state limit 2 reached")),
-    (R3, "free", 3, False, 1222, ("unknown", 1222, 680, "state limit 1222 reached")),
+    (R3, "free", 3, False, 1222, ("cleared", 1223, 680, "")),
     (R3, "free", 3, False, 1223, ("cleared", 1223, 680, "")),
     (R3, "free", 3, False, 1224, ("cleared", 1223, 680, "")),
     (C82, "polite", 4, True, 1, ("unknown", 1, 1, "state limit 1 reached")),
@@ -298,7 +302,8 @@ def test_run_and_verify_convert_only_each_step_difference(monkeypatch):
     """run builds each record from the one before and the step's symmetric
     difference, and verify each mask likewise: on the R_{14,48} row sweep,
     run's mask_vertices calls convert sum_t |C(t) ^ C(t+1)| bits and verify's
-    vertex_mask calls |C(0)| more elements, not sum_t |C(t)|."""
+    vertex_mask calls |C(0)| more elements, not sum_t |C(t)|. step from a
+    mid-sweep record converts |C(t) ^ C(t+1)| bits out, not all of C(t+1)."""
     g, starts, plan = row_sweep_14_48()
     converted = {"run": 0, "verify": 0}
 
@@ -318,6 +323,10 @@ def test_run_and_verify_convert_only_each_step_difference(monkeypatch):
     differences = sum(len(a.cleared ^ b.cleared) for a, b in zip(tr.states, tr.states[1:]))
     assert converted == {"run": differences, "verify": len(starts) + differences}
     assert differences * 50 < sum(len(s.cleared) for s in tr.states)
+    a, b = tr.states[1000], tr.states[1001]
+    converted["run"] = 0
+    assert step(g, a, tr.moves[1000]) == b
+    assert 0 < converted["run"] == len(a.cleared ^ b.cleared) < len(b.cleared) // 50
 
 
 def test_verify_lemma_bounds_flags_corrupted_trace():
