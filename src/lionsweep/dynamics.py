@@ -86,16 +86,28 @@ def initial_state(g: Graph, lions: Sequence) -> SimState:
     return SimState(0, tuple(lions), frozenset(lions))
 
 
+class InvalidMoveError(ValueError):
+    """A move step that fails validation: carries the step index and
+    validate_moves' violations, or, for a step of the wrong length, which
+    validate_moves raises itself, a description of it."""
+
+    def __init__(self, step_index: int, violations):
+        super().__init__(f"invalid move at step {step_index}: {violations}")
+        self.step_index = step_index
+        self.violations = violations
+
+
 def validate_moves(g: Graph, model: str, state: SimState, mv: MoveStep) -> list:
     """Check one move step against adjacency and the motion model.
 
     Returns a list of (lion_index, reason) violations; an empty list means ok.
+    A step of the wrong length raises InvalidMoveError at step state.time.
     Never mutates the state.
     """
     if model not in MODELS:
         raise ValueError(f"unknown motion model {model!r}")
     if len(mv) != len(state.lions):
-        raise ValueError("move step length must equal the number of lions")
+        raise InvalidMoveError(state.time, f"{len(mv)} targets for {len(state.lions)} lions")
     violations = []
     movers = 0
     for i, target in enumerate(mv):
@@ -167,17 +179,6 @@ def step_cleared_mask(frame, targets) -> int:
     return new_cleared
 
 
-class InvalidMoveError(ValueError):
-    """Raised by step() and run() when a move fails validation; carries the step
-    index and validate_moves' violations, or for a step of the wrong length a
-    description of it."""
-
-    def __init__(self, step_index: int, violations):
-        super().__init__(f"invalid move at step {step_index}: {violations}")
-        self.step_index = step_index
-        self.violations = violations
-
-
 def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
     """Fold the update over every step of a move list, validating each step
     against the model; is_swept finds the sweep time."""
@@ -195,8 +196,6 @@ def _fold(g: Graph, model: str, state: SimState, moves: Iterable) -> Iterator[Si
     adj_masks = g.neighbor_masks
     cleared = vertex_mask(state.cleared, g.n)
     for mv in moves:
-        if len(mv) != len(state.lions):  # validate_moves raises a bare ValueError on this
-            raise InvalidMoveError(state.time, f"{len(mv)} targets for {len(state.lions)} lions")
         violations = validate_moves(g, model, state, mv)
         if violations:
             raise InvalidMoveError(state.time, violations)

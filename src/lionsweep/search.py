@@ -105,9 +105,10 @@ def _move_choices(model: str, positions: tuple, adj) -> Iterator[tuple]:
 class _KeyCodes(dict):
     """The codes behind the state keys of one search with k lions on the graph
     with adjacency adj = g.adj: code[v], the codes of each vertex's
-    neighbours, and, as a dict, each sum pc of codes -> pc | the mask of the
-    vertices pc occupies, worked out on its first lookup. Counts of at most k
-    lions fit the b = k.bit_length() bits per vertex."""
+    neighbours, and, as a dict, each sum s of codes, vacancy bits below n
+    included, -> s | the mask of the vertices s occupies, worked out on its
+    first lookup from the bits of s above n only. Counts of at most k lions
+    fit the b = k.bit_length() bits per vertex."""
 
     def __init__(self, adj, k: int):
         super().__init__()
@@ -130,9 +131,9 @@ class _KeyCodes(dict):
             x ^= lions << shift
         return out
 
-    def __missing__(self, pc: int) -> int:
-        key = pc | vertex_mask(set(self.positions(pc)), self.n)
-        self[pc] = key
+    def __missing__(self, s: int) -> int:
+        key = s | vertex_mask(set(self.positions(s)), self.n)
+        self[s] = key
         return key
 
 
@@ -154,9 +155,7 @@ def _successor_keys(frame, model: str, positions: tuple, adj,
     contiguous, so the product over lions is a product over vertices, with
     one factor per lion except on a vacancy, whose lions share one factor
     over their joint targets that adds bit v where they cover exposed. The
-    key of a sum s is safe | codes[s], with the vacancy bits taken off s
-    before the lookup and put back after it, so the cache holds code sums
-    only. Per move, all of it runs in C.
+    key of a sum s is safe | codes[s]. Per move, all of it runs in C.
     """
     safe, vacancies = frame
     code = codes.code
@@ -193,12 +192,7 @@ def _successor_keys(frame, model: str, positions: tuple, adj,
                         itertools.product(bits, repeat=m)))
         factors.append([s + (1 << p) if exposed & covered == exposed else s
                         for s, covered in joint])
-    sums = map(sum, itertools.product(*factors))
-    if not exposed_at:
-        return map(safe.__or__, map(codes.__getitem__, sums))
-    sums, vacated = itertools.tee(sums)
-    return map(safe.__or__, map(int.__or__, vacated,
-                                map(codes.__getitem__, map((-1 << codes.n).__and__, sums))))
+    return map(safe.__or__, map(codes.__getitem__, map(sum, itertools.product(*factors))))
 
 
 def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
@@ -210,7 +204,10 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     a state past limits.max_states: repeats, dominated states and a clearing
     successor never end the search, so a search that runs out of new states
     at the limit is Impossible, proven, as every reachable state was admitted
-    or dominated.  Raises ValueError on an unknown model or unsound starts.
+    or dominated.  The start states are the successors of a root, None,
+    the frontier's first entry: they are offered, admitted and counted as
+    every other state is, so no more states than the limit are admitted.
+    Raises ValueError on an unknown model or unsound starts.
     """
     if model not in dynamics.MODELS:
         raise ValueError(f"unknown motion model {model!r}")
@@ -218,16 +215,16 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         raise ValueError("lion count must be >= 0")
     limits = limits or SearchLimits()
     max_states, dominance = limits.max_states, limits.dominance_pruning
-    n = g.n
     adj_masks = g.neighbor_masks
     full = adj_masks.full
     codes = _KeyCodes(g.adj, k)
 
-    start_list = _start_tuples(g, k, model, starts)
+    start_keys = [codes[sum(map(codes.code.__getitem__, spos))]
+                  for spos in _start_tuples(g, k, model, starts)]
     offered = set()  # every key ever offered: none of them can be admitted again
     antichains: dict = {}  # position code -> maximal cleared masks admitted there
     parents: dict = {}  # admitted key -> parent key, so len(parents) counts them
-    frontier: deque = deque()
+    frontier: deque = deque([None])  # the root, whose successors are the start keys
     peak = 0
 
     def expand(key: int):
@@ -259,22 +256,11 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
             steps.append(tuple(mv))
         return run(g, model, start_positions, steps)
 
-    for spos in start_list:
-        cl0 = vertex_mask(spos, n)
-        if cl0 == full:
-            return SearchVerdict("cleared", run(g, model, spos, []), 1, 1)
-        pc = sum(map(codes.code.__getitem__, spos))
-        key = pc | cl0
-        if key not in offered:  # starts on the same positions have the same cleared set
-            offered.add(key)
-            antichains[pc] = [cl0]
-            parents[key] = None
-            frontier.append(key)
-
     while frontier:
         peak = max(peak, len(frontier))
         key = frontier.popleft()
-        for new_key in itertools.filterfalse(offered.__contains__, expand(key)[1]):
+        for new_key in itertools.filterfalse(offered.__contains__,
+                                             start_keys if key is None else expand(key)[1]):
             new_cleared = new_key & full
             if new_cleared == full:
                 parents[new_key] = key
@@ -282,14 +268,11 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
             offered.add(new_key)
             if dominance:
                 pc = new_key ^ new_cleared
-                masks = antichains.get(pc)
-                if masks is None:
-                    antichains[pc] = [new_cleared]
-                elif any(new_cleared | m == m for m in masks):
+                masks = antichains.get(pc, ())
+                if any(new_cleared | m == m for m in masks):
                     continue
-                else:
-                    antichains[pc] = [m for m in masks if m | new_cleared != new_cleared]
-                    antichains[pc].append(new_cleared)
+                antichains[pc] = [m for m in masks
+                                  if m | new_cleared != new_cleared] + [new_cleared]
             if len(parents) >= max_states:
                 return SearchVerdict("unknown", None, len(parents), peak,
                                      f"state limit {max_states} reached")

@@ -261,16 +261,8 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     v = g.vertex_at
 
     # Transport: everyone slides left until the wall rests on column 1.
-    for shift in range(c0 - 1):
-        vmap = {}
-        if loner_row is not None:
-            vmap[v(1, c0 - shift)] = v(1, c0 - shift - 1)
-        for d, s in units:
-            x = c0 - shift
-            vmap[v(d, x)] = v(d, x - 1)
-            vmap[v(d, x + 1)] = v(d, x)
-            vmap[v(s, x)] = v(s, x - 1)
-        emit(vmap)
+    for _ in range(c0 - 1):
+        emit({p: v(r, c - 1) for p, (r, c) in zip(pos, map(g.coord_of, pos))})
 
     substeps = ceil(n / 2)
     if loner_row is not None and substeps % 2 == 0:

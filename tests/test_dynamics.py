@@ -48,6 +48,13 @@ def test_validate_moves_models():
         validate_moves(r3, "lazy", st0, (STAY, STAY, STAY))
 
 
+def test_validate_moves_names_the_step_of_a_short_move():
+    st1 = step(PATH3, initial_state(PATH3, (0, 2)), (1, STAY))
+    with pytest.raises(InvalidMoveError) as exc:
+        validate_moves(PATH3, "free", st1, (0,))
+    assert (exc.value.step_index, exc.value.violations) == (1, "1 targets for 2 lions")
+
+
 def test_step_vacated_vertex_recontaminates():
     # lion walks b->a on the path a-b-c: b is lost to c, a is gained
     st1 = step(PATH3, initial_state(PATH3, (1,)), (0,))
@@ -88,7 +95,7 @@ def test_step_rejects_non_adjacent():
     with pytest.raises(InvalidMoveError) as exc:
         step(PATH3, later, (0,))
     assert exc.value.step_index == later.time == 2
-    with pytest.raises(InvalidMoveError) as exc:  # validate_moves raises a bare ValueError
+    with pytest.raises(InvalidMoveError) as exc:  # raised by validate_moves
         step(PATH3, later, (0, 2))
     assert (exc.value.step_index, exc.value.violations) == (2, "2 targets for 1 lions")
 
@@ -106,7 +113,7 @@ def test_run_and_is_swept():
     with pytest.raises(InvalidMoveError) as exc:
         run(PATH3, "caffeinated", (1,), [(0,), (STAY,)])
     assert exc.value.step_index == 1
-    with pytest.raises(InvalidMoveError) as exc:  # validate_moves raises a bare ValueError
+    with pytest.raises(InvalidMoveError) as exc:  # raised by validate_moves
         run(PATH3, "free", (1,), [(0,), (1, 2)])
     assert exc.value.step_index == 1
 

@@ -10,8 +10,8 @@ from lionsweep import dynamics, search
 from lionsweep.dynamics import (STAY, SimState, Trace, exposure, initial_state, is_swept, run,
                                 step, step_cleared_mask, validate_moves)
 from lionsweep.graphs import (boundary_size_mask, build_circulant, build_square_grid,
-                              build_tri_lattice, build_triangle, make_graph, mask_vertices,
-                              vertex_mask)
+                              build_tri_lattice, build_triangle, is_connected, make_graph,
+                              mask_vertices, vertex_mask)
 from lionsweep.search import (SearchLimits, _KeyCodes, _move_choices, _successor_keys, can_clear,
                               min_lions, verify_lemma_bounds)
 
@@ -89,10 +89,12 @@ SQ3 = build_square_grid(3)
     # bipartite: one start tuple per split of the lions between the colour classes
     (SQ3, "caffeinated", 4, "canonical", True, ("cleared", 661, 483, 3)),
     (R3, "free", 0, "canonical", True, ("impossible", 1, 1, None)),
+    # the second start clears; the first was admitted before it and is counted
+    (PATH2, "caffeinated", 2, "canonical", True, ("cleared", 2, 1, 0)),
 ], ids=["R3-free", "R3-free-nodom", "R3-caffeinated", "R3-caffeinated-nodom", "R4-free",
         "R4-free-nodom", "R4-polite", "P4-free", "P4-free-nodom", "C82-polite-min",
         "C82-polite-min-nodom", "R3-free-repeated-starts", "SQ3-caffeinated-bipartite",
-        "R3-no-lions"])
+        "R3-no-lions", "PATH2-caffeinated-second-start"])
 def test_search_counts_are_pinned(g, model, k, starts, dominance, expected):
     limits = SearchLimits(dominance_pruning=dominance)
     if k == "min":
@@ -110,7 +112,8 @@ def test_search_counts_are_pinned(g, model, k, starts, dominance, expected):
 # past the limit. Repeats, dominated keys and a clearing successor never end
 # it, so a cleared search is cleared at S - 1 (its clearing key is counted,
 # not admitted), and one that runs out of new states at the limit is
-# impossible, as on R2 and R3 with one lion
+# impossible, as on R2 and R3 with one lion. Start states count toward the
+# limit like any other state, as SQ3 caffeinated with its three starts shows
 @pytest.mark.parametrize("g, model, k, dominance, max_states, expected", [
     (R3, "free", 3, True, 1, ("unknown", 1, 1, "state limit 1 reached")),
     (R3, "free", 3, True, 2, ("unknown", 2, 1, "state limit 2 reached")),
@@ -134,11 +137,43 @@ def test_search_counts_are_pinned(g, model, k, starts, dominance, expected):
     (C82, "polite", 4, False, 445, ("cleared", 444, 157, "")),
     (R2, "free", 1, True, 4, ("impossible", 4, 2, "")),
     (R3, "free", 1, True, 9, ("impossible", 9, 3, "")),
+    (SQ3, "caffeinated", 4, True, 1, ("unknown", 1, 1, "state limit 1 reached")),
+    (SQ3, "caffeinated", 4, True, 2, ("unknown", 2, 1, "state limit 2 reached")),
+    (SQ3, "caffeinated", 4, False, 1, ("unknown", 1, 1, "state limit 1 reached")),
+    (SQ3, "caffeinated", 4, False, 2, ("unknown", 2, 1, "state limit 2 reached")),
 ])
 def test_state_limit_edges_are_pinned(g, model, k, dominance, max_states, expected):
     verdict = can_clear(g, k, model, limits=SearchLimits(max_states, dominance))
     assert (verdict.status, verdict.states_explored, verdict.peak_frontier,
             verdict.detail) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=8), st.sampled_from(("free", "caffeinated", "polite")), st.data())
+def test_state_limit_is_never_exceeded(g, model, data):
+    """At every limit the search admits no more states than the limit, start
+    states included (a cleared verdict also counts its clearing state, which
+    is not admitted); it is unknown only at the limit, and from the unlimited
+    count S on it gives the unlimited verdict. The limits are 1, 2, S - 1, S,
+    S + 1 and up to four more drawn from 1..S + 1."""
+    k = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()) and is_connected(g) and (g.n or not k):
+        starts = "canonical"
+    elif g.n:
+        tup = st.lists(st.integers(0, g.n - 1), min_size=k, max_size=k)
+        starts = data.draw(st.lists(tup, min_size=2, max_size=3))
+    else:
+        return
+    dominance = data.draw(st.booleans())
+    unlimited = can_clear(g, k, model, starts, SearchLimits(dominance_pruning=dominance))
+    s = unlimited.states_explored
+    drawn = data.draw(st.lists(st.integers(1, s + 1), max_size=4))
+    for max_states in sorted({1, 2, s - 1, s, s + 1, *drawn} - {0}):
+        verdict = can_clear(g, k, model, starts, SearchLimits(max_states, dominance))
+        assert verdict.states_explored - (verdict.status == "cleared") <= max_states
+        assert verdict.status != "unknown" or verdict.states_explored == max_states
+        if max_states >= s:
+            assert verdict == unlimited
 
 
 def _assert_keys_match_the_kernel(g, model, positions, cleared):
