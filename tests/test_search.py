@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -228,9 +229,74 @@ def test_vacancies_of_two_lions_and_of_one(model):
     kept_3 = [t for t, key in zip(moves, keys) if key >> 3 & 1 and 3 not in t]
     assert kept_0 == [t for t in moves if sorted(t[:2]) == [1, 2] and 0 not in t]
     assert kept_3 == [t for t in moves if t[2] == 4 and 3 not in t]
-    # a polite step moves one lion, so it keeps 3 once and never 0
-    assert (len(kept_0), len(kept_3)) == {"free": (4, 9), "caffeinated": (2, 4),
-                                           "polite": (0, 1)}[model]
+    # distinct target multisets: a polite step moves one lion, so it keeps 3
+    # once and never 0
+    multisets = [{tuple(sorted(t)) for t in kept} for kept in (kept_0, kept_3)]
+    assert tuple(map(len, multisets)) == {"free": (2, 6), "caffeinated": (1, 3),
+                                          "polite": (0, 1)}[model]
+
+
+def _per_lion_moves(model, positions, adj):
+    """The reference stream: every ordered target tuple, one factor per lion."""
+    if model == "polite":
+        return itertools.chain([positions], (positions[:i] + (t,) + positions[i + 1:]
+                                             for i, p in enumerate(positions) for t in adj[p]))
+    return itertools.product(*(((p,) if model == "free" else ()) + adj[p] for p in positions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.sampled_from(("free", "caffeinated", "polite")), st.data())
+def test_multiset_moves_keep_every_first_occurrence(g, model, data):
+    """One move per target multiset of stacked lions loses no key: against the
+    full per-lion stream, with the kernel as the oracle for its keys, every
+    key first occurs in the same order and by the same move, so the search
+    offers the same states and the witness walk picks the same moves; and
+    both streams reach the same target multisets."""
+    if g.n == 0:
+        return
+    k = data.draw(st.integers(0, 4))
+    pool = st.sampled_from(sorted(data.draw(st.sets(st.integers(0, g.n - 1),
+                                                    min_size=1, max_size=2))))
+    positions = tuple(sorted(data.draw(st.lists(pool, min_size=k, max_size=k))))
+    cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
+    codes = _KeyCodes(g.adj, k)
+    frame = exposure(g.neighbor_masks, positions, cleared)
+    reference = list(_per_lion_moves(model, positions, g.adj))
+    moves = list(_move_choices(model, positions, g.adj))
+    keys = _successor_keys(frame, model, positions, g.adj, codes)
+    first, first_reference = {}, {}
+    for t, key in zip(moves, keys):
+        first.setdefault(key, t)
+    for t in reference:
+        key = step_cleared_mask(frame, t) | sum(map(codes.code.__getitem__, t))
+        first_reference.setdefault(key, t)
+    assert list(first.items()) == list(first_reference.items())
+    assert set(map(tuple, map(sorted, moves))) == set(map(tuple, map(sorted, reference)))
+
+
+# successors generated per search, witness walk included: one per target
+# multiset of stacked lions (55,905, 59,582, 3,116, 9,830 and 4,895 with one
+# per ordered target tuple); states and peak frontiers are pinned above
+@pytest.mark.parametrize("g, model, k, expected", [
+    (R3, "free", 3, 42632),
+    (R3, "caffeinated", 3, 46502),
+    (R3, "polite", 3, 2588),
+    (SQ3, "caffeinated", 4, 5575),
+    (C82, "polite", 4, 3799),
+], ids=["R3-free", "R3-caffeinated", "R3-polite", "SQ3-caffeinated", "C82-polite"])
+def test_successors_generated_are_pinned(monkeypatch, g, model, k, expected):
+    generated = 0
+    successor_keys = search._successor_keys
+
+    def counted(*args):
+        nonlocal generated
+        for key in successor_keys(*args):
+            generated += 1
+            yield key
+
+    monkeypatch.setattr(search, "_successor_keys", counted)
+    assert can_clear(g, k, model).status == "cleared"
+    assert generated == expected
 
 
 @pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
