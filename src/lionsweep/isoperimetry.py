@@ -17,6 +17,7 @@ from .graphs import (Graph, boundary, boundary_size_mask, build_square_grid,
                      build_tri_lattice, build_triangle, mask_vertices, vertex_mask)
 
 # Fall-down visits at most 2^20 subsets; a profile DP layer holds at most 2^20 entries.
+# The budget counts entries, not bytes: a layer of 2^20 entries costs about 100 MB of RSS.
 SUBSET_BUDGET_BITS = 20
 
 
@@ -314,6 +315,9 @@ def iso_profile(g: Graph) -> IsoProfile:
     min(3^a (d + 1), 2^d) entries.  An order whose bound is over
     2^SUBSET_BUDGET_BITS for some layer is refused before the first layer is
     built.  2^d <= 2^|V|, so every graph of at most 20 vertices is accepted.
+    The budget counts entries, not bytes: a layer of 2^20 entries costs about
+    100 MB of RSS, as on K_20 (build_circulant(20, 10)), which takes about 1 s
+    and peaks at 104 MB on Python 3.11.
     """
     n = g.n
     plan, slots = _profile_plan(g)

@@ -16,9 +16,13 @@ antichains hold keys, and a state's positions are decoded when it is
 expanded.
 
 Expanding a state runs dynamics.exposure once and derives every successor
-key from its frame in C-level maps and products (_successor_keys), without
-a step_cleared_mask call per move: a vacancy v stays cleared iff the
-targets of the lions on v cover its exposed mask.
+key from its frame (_successor_keys), without a step_cleared_mask call per
+move: a vacancy v stays cleared iff the targets of the lions on v cover its
+exposed mask. The work per move is one addition and one lookup, in tables
+of the search's _KeyCodes that fill on first use and are bounded by the lion
+configurations, not by the states: each position code is decoded once, and
+each vertex's free or caffeinated move factor is built once per lion count
+and exposed mask, then summed factor by factor into the move's code sums.
 
 Lions on one vertex are interchangeable, so a move is enumerated once per
 target multiset of each vertex's lions, not once per ordered target tuple:
@@ -29,9 +33,7 @@ product.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -119,33 +121,64 @@ def _move_choices(model: str, positions: tuple, adj) -> Iterator[tuple]:
 
 
 class _KeyCodes(dict):
-    """The codes behind the state keys of one search with k lions on the graph
-    with adjacency adj = g.adj: code[v], the codes of each vertex's
-    neighbours, and, as a dict, each sum s of codes, vacancy bits below n
-    included, -> s | the mask of the vertices s occupies, worked out on its
-    first lookup from the bits of s above n only. Counts of at most k lions
-    fit the b = k.bit_length() bits per vertex."""
+    """The codes and move tables behind the state keys of one search with k
+    lions on the graph with adjacency adj = g.adj: code[v], and, as a dict,
+    each sum s of codes, vacancy bits below n included, -> s | the mask of
+    the vertices s occupies, worked out on its first lookup from the bits of
+    s above n only. Counts of at most k lions fit the b = k.bit_length()
+    bits per vertex.
+
+    Two more tables fill on first use, each bounded by the lion
+    configurations, not by the states: decoded, each position code (a key's
+    bits above n) -> its sorted positions, at most C(n+k-1, k) entries; and
+    factors, (stay, p, m, exposed) -> the code sums of the moves of m <= k
+    lions on p (factor), exposed being 0 or a set of at most m of p's
+    neighbours. A memo of whole successor-key lists per configuration and
+    vacancies would grow with the states instead, and triple the peak RSS
+    of a R_{4,4} free k=4 search."""
 
     def __init__(self, adj, k: int):
         super().__init__()
+        self.adj = adj
         self.n = len(adj)
         self.b = k.bit_length()
         self.code = tuple(1 << (self.n + v * self.b) for v in range(self.n))
-        self.adj_codes = tuple(tuple(map(self.code.__getitem__, nbrs)) for nbrs in adj)
         self.adj_steps = tuple(tuple(self.code[u] | 1 << u for u in nbrs) for nbrs in adj)
+        self.decoded = {}
+        self.factors = {}
 
     def positions(self, key: int) -> tuple:
         """The sorted lion positions of a key."""
-        b = self.b
-        x = key >> self.n
-        out = ()
-        while x:
-            shift = (x & -x).bit_length() - 1
-            shift -= shift % b
-            lions = x >> shift & ((1 << b) - 1)
-            out += (shift // b,) * lions
-            x ^= lions << shift
+        pc = key >> self.n
+        out = self.decoded.get(pc)
+        if out is None:
+            b, x, out = self.b, pc, ()
+            while x:
+                shift = (x & -x).bit_length() - 1
+                shift -= shift % b
+                lions = x >> shift & ((1 << b) - 1)
+                out += (shift // b,) * lions
+                x ^= lions << shift
+            self.decoded[pc] = out
         return out
+
+    def factor(self, stay: bool, p: int, m: int, exposed: int) -> list:
+        """The code sums of the combinations with replacement of the targets
+        of m lions on p (p itself first if they may stay, then adj[p]), each
+        plus bit p if its targets cover exposed: p's exposed mask if p is a
+        vacancy, else 0."""
+        key = (stay, p, m, exposed)
+        sums = self.factors.get(key)
+        if sums is None:
+            sums = self.factors[key] = []
+            for ts in itertools.combinations_with_replacement(
+                    ((p,) + self.adj[p]) if stay else self.adj[p], m):
+                covered = 0
+                for t in ts:
+                    covered |= 1 << t
+                s = sum(map(self.code.__getitem__, ts))
+                sums.append(s + (1 << p) if exposed and exposed & covered == exposed else s)
+        return sums
 
     def __missing__(self, s: int) -> int:
         key = s | vertex_mask(set(self.positions(s)), self.n)
@@ -153,8 +186,7 @@ class _KeyCodes(dict):
         return key
 
 
-def _successor_keys(frame, model: str, positions: tuple, adj,
-                    codes: _KeyCodes) -> Iterator[int]:
+def _successor_keys(frame, model: str, positions: tuple, codes: _KeyCodes) -> Iterator[int]:
     """The keys of the states after each move of _move_choices, in its order,
     from the state at the sorted positions whose exposure frame is given.
 
@@ -168,16 +200,15 @@ def _successor_keys(frame, model: str, positions: tuple, adj,
     a vacancy, bit p comes back on the one t with exposed == 1 << t.
 
     Stacked lions are interchangeable, so a polite step moves only the first
-    lion of each vertex, and the free and caffeinated product has one factor
-    per occupied vertex: the code sums of the combinations with replacement
-    of its m lions' choices. On a vacancy v the factor also adds bit v where
-    a combination's targets cover exposed, which depends only on their set.
-    The key of a sum s is safe | codes[s]. Per move, all of it runs in C.
+    lion of each vertex, and the free and caffeinated sums are the product
+    of one factor per occupied vertex, codes.factor of its m lions, summed
+    factor by factor with the first factor outermost, as in
+    itertools.product. The key of a sum s is safe | codes[s].
     """
     safe, vacancies = frame
-    code = codes.code
     exposed_at = {v_bit.bit_length() - 1: exposed for v_bit, exposed, _ in vacancies}
     if model == "polite":
+        code, adj = codes.code, codes.adj
         occ = 0
         for p in positions:
             occ |= 1 << p
@@ -193,23 +224,11 @@ def _successor_keys(frame, model: str, positions: tuple, adj,
             moves.append(map(low.__or__, map((pc - code[p]).__add__, steps)))
         return itertools.chain((safe | occ | pc,), *moves)
     stay = model == "free"
-    factors = []
+    sums = [0]
     for p in dict.fromkeys(positions):
-        m = positions.count(p)
-        choices = ((code[p],) + codes.adj_codes[p]) if stay else codes.adj_codes[p]
-        # lists, not iterators: with an iterator per factor the search
-        # workload's peak RSS read 0.6 MB (2%) higher
-        sums = list(map(sum, itertools.combinations_with_replacement(choices, m)))
-        exposed = exposed_at.get(p)
-        if exposed is None:
-            factors.append(sums)
-            continue
-        bits = [1 << t for t in (((p,) + adj[p]) if stay else adj[p])]
-        joint = zip(sums, map(functools.reduce, itertools.repeat(operator.or_),
-                              itertools.combinations_with_replacement(bits, m)))
-        factors.append([s + (1 << p) if exposed & covered == exposed else s
-                        for s, covered in joint])
-    return map(safe.__or__, map(codes.__getitem__, map(sum, itertools.product(*factors))))
+        f = codes.factor(stay, p, positions.count(p), exposed_at.get(p, 0))
+        sums = [x + y for x in sums for y in f]
+    return map(safe.__or__, map(codes.__getitem__, sums))
 
 
 def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
@@ -247,7 +266,7 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     def expand(key: int):
         positions = codes.positions(key)
         frame = exposure(adj_masks, positions, key & full)
-        return positions, _successor_keys(frame, model, positions, g.adj, codes)
+        return positions, _successor_keys(frame, model, positions, codes)
 
     def witness(key: int) -> Trace:
         # a key is admitted at its first offer, so its parent's first move

@@ -36,3 +36,16 @@ def test_min_lions_survey_exclusions_sit_below_the_minimum():
     for row in rows:
         excluded, k_free = row.split()[-2:]
         assert int(excluded) < int(k_free), row  # int() fails on "?(unknown)"
+
+
+def test_min_lions_survey_polite_exclusions_sit_below_the_minimum():
+    """With --polite, the polite Cheeger exclusion is strictly below the exact
+    polite minimum on every row."""
+    proc = run_script("min_lions_survey.py", "--polite", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[-2:] == ["excl_pol", "k*_pol"]
+    assert len(rows) == 18
+    for row in rows:
+        excluded, k_polite = row.split()[-2:]
+        assert int(excluded) < int(k_polite), row  # int() fails on "?(unknown)"

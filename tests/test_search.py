@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -187,7 +188,7 @@ def _assert_keys_match_the_kernel(g, model, positions, cleared):
     safe, vacancies = exposure(g.neighbor_masks, positions, cleared)
     moves = list(_move_choices(model, positions, sorted_adj))
     for frame in ((safe, []), (safe, vacancies)):
-        keys = list(_successor_keys(frame, model, positions, sorted_adj, codes))
+        keys = list(_successor_keys(frame, model, positions, codes))
         assert keys == [step_cleared_mask(frame, t) | sum(codes.code[v] for v in t)
                         for t in moves]
         assert [codes.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
@@ -263,7 +264,7 @@ def test_multiset_moves_keep_every_first_occurrence(g, model, data):
     frame = exposure(g.neighbor_masks, positions, cleared)
     reference = list(_per_lion_moves(model, positions, g.adj))
     moves = list(_move_choices(model, positions, g.adj))
-    keys = _successor_keys(frame, model, positions, g.adj, codes)
+    keys = _successor_keys(frame, model, positions, codes)
     first, first_reference = {}, {}
     for t, key in zip(moves, keys):
         first.setdefault(key, t)
@@ -272,6 +273,59 @@ def test_multiset_moves_keep_every_first_occurrence(g, model, data):
         first_reference.setdefault(key, t)
     assert list(first.items()) == list(first_reference.items())
     assert set(map(tuple, map(sorted, moves))) == set(map(tuple, map(sorted, reference)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(max_n=8), st.integers(1, 4), st.data())
+def test_one_key_table_serves_many_states(g, k, data):
+    """A search keeps one _KeyCodes, so its decoded positions and its factors
+    must be keyed completely: over several drawn states in turn, with stacked
+    lions and vacancies, each key from one shared _KeyCodes equals the key
+    from a fresh one and the kernel's."""
+    if g.n == 0:
+        return
+    shared = _KeyCodes(g.adj, k)
+    for _ in range(data.draw(st.integers(2, 6))):
+        model = data.draw(st.sampled_from(("free", "caffeinated", "polite")))
+        pool = st.integers(0, g.n - 1)
+        if data.draw(st.booleans()):
+            pool = st.sampled_from(sorted(data.draw(st.sets(pool, min_size=1, max_size=2))))
+        positions = tuple(sorted(data.draw(st.lists(pool, min_size=k, max_size=k))))
+        cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
+        frame = exposure(g.neighbor_masks, positions, cleared)
+        moves = list(_move_choices(model, positions, g.adj))
+        keys = list(_successor_keys(frame, model, positions, shared))
+        assert keys == list(_successor_keys(frame, model, positions, _KeyCodes(g.adj, k)))
+        assert keys == [step_cleared_mask(frame, t) | sum(map(shared.code.__getitem__, t))
+                        for t in moves]
+        assert [shared.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
+
+
+@pytest.mark.parametrize("model", ["free", "caffeinated"])
+def test_key_tables_grow_with_configurations_not_states(monkeypatch, model):
+    """After a search, decoded holds at most one entry per multiset of k
+    positions, and each factor is keyed by a vertex p, a count m <= k of
+    lions on it and an exposed mask of at most m of p's neighbours (0 if p
+    is no vacancy), so neither table can grow with the states explored."""
+    made = []
+
+    class Recorded(_KeyCodes):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_KeyCodes", Recorded)
+    k = 3
+    verdict = can_clear(R3, k, model, limits=SearchLimits(dominance_pruning=False))
+    (codes,) = made
+    assert len(codes.decoded) <= math.comb(R3.n + k - 1, k) < verdict.states_explored
+    masks = R3.neighbor_masks
+    for stay, p, m, exposed in codes.factors:
+        assert stay == (model == "free") and 1 <= m <= k
+        assert exposed & masks[p] == exposed and exposed.bit_count() <= m
+    bound = sum(1 + sum(math.comb(len(R3.adj[p]), j) for j in range(1, m + 1))
+                for p in range(R3.n) for m in range(1, k + 1))
+    assert len(codes.factors) <= bound < verdict.states_explored
 
 
 # successors generated per search, witness walk included: one per target
