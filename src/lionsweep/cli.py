@@ -104,10 +104,9 @@ def cmd_search(args) -> int:
         verdict = search.can_clear(g, args.k, args.model, starts, limits)
         print(f"{verdict.status} (states={verdict.states_explored}, "
               f"peak_frontier={verdict.peak_frontier})")
-    status = verdict.status if verdict is not None else None  # --min's not_found has none
-    if status == "cleared" and args.witness_out:
+    if verdict.status == "cleared" and args.witness_out:
         dynamics.write_trace(verdict.trace, args.witness_out)
-    return {"cleared": EXIT_OK, "unknown": EXIT_UNKNOWN}.get(status, EXIT_NEGATIVE)
+    return {"cleared": EXIT_OK, "unknown": EXIT_UNKNOWN}.get(verdict.status, EXIT_NEGATIVE)
 
 
 def cmd_cheeger(args) -> int:

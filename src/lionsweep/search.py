@@ -10,10 +10,11 @@ A state is one int, cleared | the sum of code[p] over the lion positions p,
 with code[v] = 1 << (n + v * k.bit_length()): the cleared mask in the low n
 bits, and above them a count of the lions on each vertex, so the key does
 not depend on the lions' order (_KeyCodes). A key offered once is never
-admitted again, so one set of offered keys rejects repeats before any
-dominance work; the frontier, the parent links and the per-position
-antichains hold keys, and a state's positions are decoded when it is
-expanded.
+admitted again, so one table of offered keys, each mapped to the key that
+first offered it, rejects repeats before any dominance work and holds the
+parent links. The frontier and the per-position antichains hold the
+admitted keys: keys with one position code compare as their cleared masks,
+a | b == b iff the masks do. A state's positions are decoded on expansion.
 
 Expanding a state runs dynamics.exposure once and derives every successor
 key from its frame (_successor_keys), without a step_cleared_mask call per
@@ -257,11 +258,10 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
 
     start_keys = [codes[sum(map(codes.code.__getitem__, spos))]
                   for spos in _start_tuples(g, k, model, starts)]
-    offered = set()  # every key ever offered: none of them can be admitted again
-    antichains: dict = {}  # position code -> maximal cleared masks admitted there
-    parents: dict = {}  # admitted key -> parent key, so len(parents) counts them
+    parents: dict = {}  # every offered key -> the key that first offered it
+    antichains: dict = {}  # position code -> the maximal keys admitted there
     frontier: deque = deque([None])  # the root, whose successors are the start keys
-    peak = 0
+    peak = admitted = 0
 
     def expand(key: int):
         positions = codes.positions(key)
@@ -296,27 +296,25 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     while frontier:
         peak = max(peak, len(frontier))
         key = frontier.popleft()
-        for new_key in itertools.filterfalse(offered.__contains__,
+        for new_key in itertools.filterfalse(parents.__contains__,
                                              start_keys if key is None else expand(key)[1]):
+            parents[new_key] = key
             new_cleared = new_key & full
             if new_cleared == full:
-                parents[new_key] = key
-                return SearchVerdict("cleared", witness(new_key), len(parents), peak)
-            offered.add(new_key)
-            if dominance:
+                return SearchVerdict("cleared", witness(new_key), admitted + 1, peak)
+            if dominance:  # keys with one position code compare as their cleared masks
                 pc = new_key ^ new_cleared
-                masks = antichains.get(pc, ())
-                if any(new_cleared | m == m for m in masks):
+                keys = antichains.get(pc, ())
+                if any(new_key | m == m for m in keys):
                     continue
-                antichains[pc] = [m for m in masks
-                                  if m | new_cleared != new_cleared] + [new_cleared]
-            if len(parents) >= max_states:
-                return SearchVerdict("unknown", None, len(parents), peak,
+                antichains[pc] = [m for m in keys if m | new_key != new_key] + [new_key]
+            if admitted >= max_states:
+                return SearchVerdict("unknown", None, admitted, peak,
                                      f"state limit {max_states} reached")
-            parents[new_key] = key
+            admitted += 1
             frontier.append(new_key)
 
-    return SearchVerdict("impossible", None, len(parents), peak)
+    return SearchVerdict("impossible", None, admitted, peak)
 
 
 @dataclass(frozen=True)
@@ -332,7 +330,8 @@ def min_lions(g: Graph, model: str = "free", k_max: int = 4,
     """Smallest k in 0..k_max that sweeps g, with the witness verdict.
 
     Returns unknown as soon as an intermediate search hits its limits, since
-    a larger k being cleared would not certify minimality.
+    a larger k being cleared would not certify minimality, and not_found
+    with the k_max search's impossible verdict.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -343,8 +342,7 @@ def min_lions(g: Graph, model: str = "free", k_max: int = 4,
         if verdict.status == "unknown":
             return MinLionsResult("unknown", None, verdict,
                                   f"search at k={k} hit its limits")
-    return MinLionsResult("not_found", None, None,
-                          f"no sweep with up to {k_max} lions")
+    return MinLionsResult("not_found", None, verdict, f"no sweep with up to {k_max} lions")
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,24 @@ def test_search_exit_codes(tmp_path, capsys):
                  "--max-states", "2"]) == 20
 
 
+@pytest.mark.parametrize("flags, code, out", [
+    (["-k", "1"], 10, "impossible (states="),
+    (["-k", "2", "--max-states", "2"], 20, "unknown (states="),
+    # R_{2,2} needs 2 free lions
+    (["--min", "--kmax", "1"], 10, "no sweep with up to 1 lions\n"),
+    # k=0 is impossible after one state, and k=1 would admit a third
+    (["--min", "--max-states", "2"], 20, "unknown: search at k=1 hit its limits\n"),
+], ids=["impossible", "unknown", "min-below-kstar", "min-unknown"])
+def test_search_without_a_sweep_writes_no_witness(tmp_path, capsys, flags, code, out):
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    capsys.readouterr()
+    witness = tmp_path / "witness.jsonl"
+    assert main(["search", str(r2), *flags, "--witness-out", str(witness)]) == code
+    assert capsys.readouterr().out.startswith(out)
+    assert not witness.exists()
+
+
 def test_search_disconnected_graph(tmp_path, capsys):
     path = tmp_path / "two_edges.txt"
     path.write_text("vertices 4\n0 1\n2 3\n")
