@@ -29,7 +29,7 @@ def main():
                         help="only report witnesses with these boundary sizes")
     args = parser.parse_args()
 
-    for s, image, b_sq, b_tri in falldown_mismatches(args.n, "down-right"):
+    for s, image, b_sq, b_tri in falldown_mismatches(args.n):
         if args.counts and (len(b_sq), len(b_tri)) != tuple(args.counts):
             continue
         print(f"witness S (|S|={len(s)}):")

@@ -26,18 +26,22 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
+# the flags each graph family takes besides -n
+_FAMILY_FLAGS = {"square": "", "tri": "l", "triangle": "", "circulant": "k"}
+
+
 def _build_family(args) -> graphs.Graph:
+    for flag in "lk":
+        given = getattr(args, flag) is not None
+        if given != (flag in _FAMILY_FLAGS[args.family]):
+            raise ValueError(f"{args.family} {'takes no' if given else 'needs'} -{flag}")
     if args.family == "square":
         return graphs.build_square_grid(args.n)
     if args.family == "tri":
-        if args.l is None:
-            raise ValueError("tri needs -l")
         return graphs.build_tri_lattice(args.n, args.l)
     if args.family == "triangle":
         return graphs.build_triangle(args.n)
     # circulant: the parser's choices admit no other family
-    if args.k is None:
-        raise ValueError("circulant needs -k")
     return graphs.build_circulant(args.n, args.k)
 
 
@@ -127,7 +131,7 @@ def cmd_isoperimetry(args) -> int:
         print(f"{bad} violations over {report.subsets_checked} subsets")
         return EXIT_OK if report.ok else EXIT_NEGATIVE
     if args.iso_cmd == "falldown-witness":
-        mismatch = next(isoperimetry.falldown_mismatches(args.n, args.direction), None)
+        mismatch = next(isoperimetry.falldown_mismatches(args.n), None)
         if mismatch is None:
             print("none")
             return EXIT_NEGATIVE
@@ -175,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="build a graph family and write its edge list")
-    p.add_argument("family", choices=["square", "tri", "triangle", "circulant"])
+    p.add_argument("family", choices=list(_FAMILY_FLAGS))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-l", type=int)
     p.add_argument("-k", type=int)
@@ -227,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-n", type=int, required=True)
     q = isub.add_parser("falldown-witness")
     q.add_argument("-n", type=int, required=True)
-    q.add_argument("--direction", choices=["down-left", "down-right"], default="down-right")
     q = isub.add_parser("profile")
     q.add_argument("graph")
     q.add_argument("-o", "--out")

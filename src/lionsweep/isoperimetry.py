@@ -131,21 +131,20 @@ def falldown_check(n: int) -> FallDownReport:
                           tuple(frozenset(mask_vertices(m)) for m in match_bad))
 
 
-def falldown_mismatches(n: int, direction: str = "down-right") -> Iterator[tuple]:
+def falldown_mismatches(n: int) -> Iterator[tuple]:
     """Yield (s, image, boundary_in_Sn, boundary_in_Rn) for every subset whose
-    transformed image has different boundary sets in S_n and R_n: none for
-    down-left, some from n = 4 on for down-right.  Compares boundary counts
-    (see falldown_check) once per image, and builds sets once per mismatching
-    image."""
-    if direction not in ("down-left", "down-right"):
-        raise ValueError(f"unknown fall-down direction {direction!r}")
+    down-right image (columns dropped, rows pushed right) has different
+    boundary sets in S_n and R_n.  There are some from n = 2 on: in R_2,
+    S = {0, 1, 2} maps to {0, 1, 3}, whose boundary is {0, 3} in S_2 and
+    {0, 1, 3} in R_2.  The down-left fall-down has none (falldown_check).
+    Compares boundary counts (see falldown_check) once per image, and builds
+    sets once per mismatching image."""
     _check_budget("fall-down scan", n * n)
     sq, tri = _grid_pair(n)
     sq_adj, tri_adj = sq.neighbor_masks, tri.neighbor_masks
-    push_left = direction == "down-left"
     mismatch = {}  # image -> None, or (image, boundary_in_Sn, boundary_in_Rn) as sets
     for mask in range(1 << (n * n)):
-        image = _fall_down_mask(n, mask, push_left=push_left)
+        image = _fall_down_mask(n, mask, push_left=False)
         if image not in mismatch:
             mismatch[image] = None
             if boundary_size_mask(sq_adj, image) != boundary_size_mask(tri_adj, image):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import ceil
 from typing import Sequence
 
 from .dynamics import STAY, run, step
@@ -189,31 +188,20 @@ def row_sweep_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     return MovePlan(tuple(moves), formation_steps)
 
 
-def _wall_layout(n: int):
-    """Row roles for the wall: optional unpaired bottom row, plus
-
-    (double_row, single_row) units bottom-up.  Single rows are the odd rows
-    counted from the top, so each single row sits directly above its double
-    row and the three lions of a unit form a triangle of the lattice.
-    """
-    if n % 2 == 0:
-        return None, [(d, d + 1) for d in range(1, n, 2)]
-    return 1, [(d, d + 1) for d in range(2, n, 2)]
-
-
 def wall_positions(n: int, l: int) -> tuple:
     """Wall-formation vertices of R_{n,l} at base column ceil(l/2), in slot
-    order ([loner], then per unit: rear, front, single)."""
+    order: for odd n the loner on row 1, then per unit, bottom-up, its rear,
+    front and single lion.  A unit is a double row d in range(1 + n % 2, n, 2)
+    with its single row d + 1 directly above, so the unit's three lions form a
+    triangle of the lattice."""
     if n > 1 and l == 1:
         raise ValueError("the wall formation needs two columns; R_{n,1} has one")
     g = build_tri_lattice(n, l)
     col = (l + 1) // 2
-    loner, units = _wall_layout(n)
-    out = []
-    if loner is not None:
-        out.append(g.vertex_at(loner, col))
-    for d, s in units:
-        out.extend((g.vertex_at(d, col), g.vertex_at(d, col + 1), g.vertex_at(s, col)))
+    v = g.vertex_at
+    out = [v(1, col)] * (n % 2)
+    for d in range(1 + n % 2, n, 2):
+        out.extend((v(d, col), v(d, col + 1), v(d + 1, col)))
     return tuple(out)
 
 
@@ -221,12 +209,14 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     """The floor(3n/2)-lion caffeinated sweep of R_{n,l}.
 
     Phases: (1) simultaneous repositioning into the wall of triangles at
-    column ceil(l/2); (2) transport to the left edge; (3) rightward sweep,
-    one unit advancing per substep (bottom-up) while the others rotate their
-    triangle in place and the unpaired bottom lion (odd n) bounces one column
-    ahead of its row and back; (4) a final step that pushes the single-lion
-    rows onto the last column while the doubles swap.  Every step moves every
-    lion.
+    column ceil(l/2); (2) transport to the left edge; (3) rightward sweep
+    from base column b = 1 to l - 2, in substeps j: the unit in slot s
+    (n % 2 plus its index, bottom-up) stands at column b + (j > s), advances
+    one column when j == s and rotates its triangle in place otherwise,
+    while the unpaired bottom lion (odd n) steps from column
+    b + (j > 0) + (j > 0 and j even) to b + 1 + j % 2, one column ahead and
+    back; (4) a final step that pushes the single-lion rows onto the last
+    column while the doubles swap.  Every step moves every lion.
     """
     need = (3 * n) // 2
     if len(starts) != need:
@@ -246,8 +236,6 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     c0 = g.coord_of(targets[0])[1]  # the wall's base column
     moves = list(simultaneous_repositioning(g, starts, targets))
     formation_steps = len(moves)
-
-    loner_row, units = _wall_layout(n)
     pos = list(targets)  # lion i sits at slot i after the formation
 
     def emit(vmap: dict) -> None:
@@ -255,8 +243,7 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
         # distinct during the wall phases, so the lookup is unambiguous.
         mv = tuple(vmap[p] for p in pos)
         moves.append(mv)
-        for i, t in enumerate(mv):
-            pos[i] = t
+        pos[:] = mv
 
     v = g.vertex_at
 
@@ -264,52 +251,33 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     for _ in range(c0 - 1):
         emit({p: v(r, c - 1) for p, (r, c) in zip(pos, map(g.coord_of, pos))})
 
-    substeps = ceil(n / 2)
-    if loner_row is not None and substeps % 2 == 0:
-        substeps += 1  # the bounce gait needs an even number of non-advance substeps
-    slots = ([("loner", 0)] if loner_row is not None else []) + \
-        [("unit", ui) for ui in range(len(units))]
-
-    def rotate(vmap: dict, d: int, s: int, x: int) -> None:
-        vmap[v(s, x)] = v(d, x)
-        vmap[v(d, x)] = v(d, x + 1)
-        vmap[v(d, x + 1)] = v(s, x)
-
-    loner_at_base = True
-    for base in range(1, l - 1):
-        unit_col = [base] * len(units)
-        loner_col = base
+    # Sweep: each move follows from (b, j, slot) alone, so pos is the only state.
+    units = range(1 + n % 2, n, 2)
+    substeps = len(units) + n % 2
+    if n % 2 and substeps % 2 == 0:
+        substeps += 1  # the loner's bounce needs an even number of substeps after its advance
+    for b in range(1, l - 1):
         for j in range(substeps):
-            advancing = slots[j] if j < len(slots) else None
             vmap = {}
-            for ui, (d, s) in enumerate(units):
-                x = unit_col[ui]
-                if advancing == ("unit", ui):
-                    vmap[v(s, x)] = v(s, x + 1)
-                    vmap[v(d, x)] = v(d, x + 1)
+            if n % 2:
+                vmap[v(1, b + (j > 0) + (j > 0 and j % 2 == 0))] = v(1, b + 1 + j % 2)
+            for s, d in enumerate(units, n % 2):
+                x = b + (j > s)
+                vmap[v(d, x)] = v(d, x + 1)
+                if j == s:  # advance one column
+                    vmap[v(d + 1, x)] = v(d + 1, x + 1)
                     vmap[v(d, x + 1)] = v(d, x + 2)
-                    unit_col[ui] = x + 1
-                else:
-                    rotate(vmap, d, s, x)
-            if loner_row is not None:
-                if advancing == ("loner", 0):
-                    vmap[v(1, loner_col)] = v(1, loner_col + 1)
-                    loner_col += 1
-                    loner_at_base = True
-                elif loner_at_base:
-                    vmap[v(1, loner_col)] = v(1, loner_col + 1)
-                    loner_at_base = False
-                else:
-                    vmap[v(1, loner_col + 1)] = v(1, loner_col)
-                    loner_at_base = True
+                else:  # rotate the triangle in place
+                    vmap[v(d + 1, x)] = v(d, x)
+                    vmap[v(d, x + 1)] = v(d + 1, x)
             emit(vmap)
 
     # Final step: single rows take the last column, doubles swap in place.
     vmap = {}
-    if loner_row is not None:
+    if n % 2:
         vmap[v(1, l - 1)] = v(1, l)
-    for d, s in units:
-        vmap[v(s, l - 1)] = v(s, l)
+    for d in units:
+        vmap[v(d + 1, l - 1)] = v(d + 1, l)
         vmap[v(d, l - 1)] = v(d, l)
         vmap[v(d, l)] = v(d, l - 1)
     emit(vmap)

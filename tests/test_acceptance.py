@@ -131,7 +131,7 @@ def test_criterion_06_falldown_suite():
         assert report.monotone_violations == ()
         assert report.boundary_match_violations == ()
     found_3v4_witness = False
-    for _s, _img, b_sq, b_tri in falldown_mismatches(4, "down-right"):
+    for _s, _img, b_sq, b_tri in falldown_mismatches(4):
         if len(b_sq) == 3 and len(b_tri) == 4:
             found_3v4_witness = True
             break

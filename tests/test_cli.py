@@ -34,6 +34,23 @@ def test_graph_bad_params():
     assert main(["graph", "tri", "-n", "0", "-l", "3"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["square", "-n", "2", "-l", "5"], "square takes no -l"),
+    (["square", "-n", "2", "-k", "1"], "square takes no -k"),
+    (["triangle", "-n", "3", "-l", "2"], "triangle takes no -l"),
+    (["triangle", "-n", "3", "-k", "1"], "triangle takes no -k"),
+    (["tri", "-n", "2", "-l", "2", "-k", "1"], "tri takes no -k"),
+    (["circulant", "-n", "6", "-k", "1", "-l", "2"], "circulant takes no -l"),
+    (["tri", "-n", "2"], "tri needs -l"),
+    (["circulant", "-n", "6"], "circulant needs -k"),
+])
+def test_graph_refuses_flags_its_family_does_not_take(tmp_path, capsys, argv, message):
+    out = tmp_path / "g.txt"
+    assert main(["graph", *argv, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_row_sweep(tmp_path, r3_path, capsys):
     moves = tmp_path / "moves.txt"
     assert main(["strategy", "row-sweep", "-n", "3", "-l", "3", "-o", str(moves)]) == 0
@@ -318,11 +335,10 @@ def test_isoperimetry_falldown_check(capsys):
 
 
 def test_isoperimetry_falldown_witness(capsys):
-    assert main(["isoperimetry", "falldown-witness", "-n", "4",
-                 "--direction", "down-right"]) == 0
+    assert main(["isoperimetry", "falldown-witness", "-n", "4"]) == 0
     assert "witness = " in capsys.readouterr().out
-    assert main(["isoperimetry", "falldown-witness", "-n", "3",
-                 "--direction", "down-left"]) == 10
+    assert main(["isoperimetry", "falldown-witness", "-n", "1"]) == 10
+    assert capsys.readouterr().out == "none\n"
 
 
 def test_isoperimetry_profile(tmp_path, capsys):
@@ -354,7 +370,7 @@ PINNED_OPTIONS = {
                "--no-dominance", "--starts", "--witness-out"],
     "cheeger": ["graph"],
     "isoperimetry falldown-check": ["-n"],
-    "isoperimetry falldown-witness": ["-n", "--direction"],
+    "isoperimetry falldown-witness": ["-n"],
     "isoperimetry profile": ["graph", "-o/--out"],
     "conjecture": ["-n", "-o/--out"],
 }

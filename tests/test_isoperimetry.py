@@ -66,25 +66,25 @@ def test_falldown_check_n3():
     assert report.ok
 
 
-def test_falldown_counterexample_down_left_none():
-    assert next(falldown_mismatches(3, "down-left"), None) is None
-
-
 def test_falldown_counterexample_down_right_degenerate():
-    assert next(falldown_mismatches(1, "down-right"), None) is None
+    assert next(falldown_mismatches(1), None) is None
+
+
+def test_falldown_down_right_witness_n2():
+    # S = {0, 1, 2} falls to {0, 1, 3}; R_2's diagonal (1, 2) puts 1 on its boundary
+    assert next(falldown_mismatches(2)) == (frozenset({0, 1, 2}), frozenset({0, 1, 3}),
+                                            frozenset({0, 3}), frozenset({0, 1, 3}))
 
 
 def test_falldown_down_right_witness_exists_n4():
-    assert next(falldown_mismatches(4, "down-right"), None) is not None
+    assert next(falldown_mismatches(4), None) is not None
 
 
 def test_falldown_limits():
     with pytest.raises(ResourceLimitError):
         falldown_check(5)
     with pytest.raises(ResourceLimitError):
-        next(falldown_mismatches(5, "down-right"))
-    with pytest.raises(ValueError):
-        next(falldown_mismatches(3, "sideways"))
+        next(falldown_mismatches(5))
 
 
 def test_iso_profile_singleton():

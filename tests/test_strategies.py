@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import deque
 
@@ -224,6 +226,38 @@ def test_plans_are_pinned(plan_fn, case):
     plan = plan_fn(n, l, starts)
     assert (len(plan.moves), plan.formation_steps) == (total, formation_steps)
     assert plan.moves[:formation_steps] == formation
+
+
+def _wall_grid():
+    """Wall plans (or refusals) over a grid covering n = 1, even n, n = 1 mod 4
+    (no extra substep) and n = 3 mod 4 (one extra), at l = 1, 2, 3 and more."""
+    for n in (1, 2, 3, 4, 5, 6, 7, 9):
+        for l in (1, 2, 3, 4, 7):
+            rng = random.Random(100 * n + l)
+            for _ in range(2):
+                starts = tuple(rng.randrange(n * l) for _ in range((3 * n) // 2))
+                try:
+                    plan = caffeinated_wall_moves(n, l, starts)
+                except ValueError as exc:
+                    yield n, l, starts, None, str(exc)
+                else:
+                    yield n, l, starts, plan, None
+
+
+def test_wall_plans_are_pinned_in_full():
+    # one digest over every move of every plan, so a changed sweep move shows
+    rows = [(n, l, starts, plan and (plan.formation_steps, plan.moves), err)
+            for n, l, starts, plan, err in _wall_grid()]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "472c3e0c7fc34aac37d4469dcd1f8ea47a4fcb01164a9e25e33c9978e0f84e53"
+
+
+def test_wall_lions_stay_on_distinct_vertices_after_formation():
+    for n, l, starts, plan, _ in _wall_grid():
+        if plan is not None:
+            records = (starts, *plan.moves)
+            for t in range(plan.formation_steps, len(records)):
+                assert len(set(records[t])) == len(records[t]), (n, l, starts, t)
 
 
 def test_row_sweep_requires_n_lions():
