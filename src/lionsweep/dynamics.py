@@ -219,17 +219,31 @@ def is_monotone(tr: Trace) -> bool:
     return True
 
 
+class _VertexText(dict):
+    """Per-call cache of each integer's JSON text: str(v), made once per value."""
+
+    def __missing__(self, v: int) -> str:
+        text = self[v] = str(v)
+        return text
+
+
 def write_trace(tr: Trace, path) -> None:
-    """Line-delimited records, one per time step; the t=0 record has move null."""
+    """Line-delimited records, one per time step; the t=0 record has move null.
+
+    Each line holds exactly the bytes of json.dumps({"t": t, "lions": [...],
+    "cleared": [...], "move": [...] or None}) followed by a newline:
+
+        {"t": 1, "lions": [3, 0], "cleared": [0, 1, 3], "move": [3, -1]}
+
+    with cleared in increasing order, ", " between list items and STAY as -1.
+    Lions, cleared vertices and moves are ints, and each distinct one is
+    rendered once per call."""
+    text, join = _VertexText().__getitem__, ", ".join
     with open(path, "w", encoding="utf-8") as fh:
         for i, s in enumerate(tr.states):
-            move = None if i == 0 else list(tr.moves[i - 1])
-            fh.write(json.dumps({
-                "t": s.time,
-                "lions": list(s.lions),
-                "cleared": sorted(s.cleared),
-                "move": move,
-            }) + "\n")
+            move = f"[{join(map(text, tr.moves[i - 1]))}]" if i else "null"
+            fh.write(f'{{"t": {s.time}, "lions": [{join(map(text, s.lions))}], '
+                     f'"cleared": [{join(map(text, sorted(s.cleared)))}], "move": {move}}}\n')
 
 
 def read_trace(path) -> Trace:
@@ -276,10 +290,12 @@ def _is_int_list(value) -> bool:
 
 
 def write_moves(moves: Iterable, path) -> None:
-    """One step per line: a JSON list with STAY encoded as -1."""
+    """One step per line, exactly the bytes of json.dumps(list(step)) and a
+    newline: ", " between targets and STAY as -1, e.g. [3, -1, 12]."""
+    text, join = _VertexText().__getitem__, ", ".join
     with open(path, "w", encoding="utf-8") as fh:
         for mv in moves:
-            fh.write(json.dumps(list(mv)) + "\n")
+            fh.write(f"[{join(map(text, mv))}]\n")
 
 
 def read_moves(path) -> list:

@@ -194,9 +194,13 @@ def wall_positions(n: int, l: int) -> tuple:
     front and single lion.  A unit is a double row d in range(1 + n % 2, n, 2)
     with its single row d + 1 directly above, so the unit's three lions form a
     triangle of the lattice."""
+    return _wall_slots(build_tri_lattice(n, l), n, l)
+
+
+def _wall_slots(g: Graph, n: int, l: int) -> tuple:
+    """wall_positions(n, l) read off g, the R_{n,l} its caller has built."""
     if n > 1 and l == 1:
         raise ValueError("the wall formation needs two columns; R_{n,1} has one")
-    g = build_tri_lattice(n, l)
     col = (l + 1) // 2
     v = g.vertex_at
     out = [v(1, col)] * (n % 2)
@@ -232,7 +236,7 @@ def caffeinated_wall_moves(n: int, l: int, starts: Sequence) -> MovePlan:
         moves.extend((g.vertex_at(1, c + 1),) for c in range(1, l))
         return MovePlan(tuple(moves), formation_steps)
 
-    targets = wall_positions(n, l)
+    targets = _wall_slots(g, n, l)
     c0 = g.coord_of(targets[0])[1]  # the wall's base column
     moves = list(simultaneous_repositioning(g, starts, targets))
     formation_steps = len(moves)

@@ -1,11 +1,15 @@
+import hashlib
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import WIDE_GRAPHS, random_connected_graph, row_sweep_14_48, wide_graph, wide_masks
+from conftest import (WIDE_GRAPHS, random_connected_graph, row_sweep_14_48, small_graphs,
+                      wide_graph, wide_masks)
 from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, exposure, initial_state,
                                 is_monotone, is_swept, read_moves, read_trace, run,
                                 step, step_cleared_mask, validate_moves, write_moves,
@@ -411,3 +415,71 @@ def test_read_moves_rejects_booleans(tmp_path):
     with pytest.raises(ParseError) as err:
         read_moves(path)
     assert err.value.line == 2
+
+
+def json_trace_bytes(tr) -> bytes:
+    """A trace rendered record by record with json.dumps, the layout write_trace keeps."""
+    return "".join(json.dumps({"t": s.time, "lions": list(s.lions), "cleared": sorted(s.cleared),
+                               "move": list(tr.moves[i - 1]) if i else None}) + "\n"
+                   for i, s in enumerate(tr.states)).encode()
+
+
+def json_moves_bytes(moves) -> bytes:
+    """A move list rendered step by step with json.dumps, the layout write_moves keeps."""
+    return "".join(json.dumps(list(mv)) + "\n" for mv in moves).encode()
+
+
+def assert_written_as_json(tr) -> None:
+    """write_trace and write_moves write the bytes of the json.dumps rendering,
+    and read_trace and read_moves give back the trace and its moves."""
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, moves = Path(tmp) / "trace.jsonl", Path(tmp) / "moves.txt"
+        write_trace(tr, trace)
+        write_moves(tr.moves, moves)
+        assert trace.read_bytes() == json_trace_bytes(tr)
+        assert moves.read_bytes() == json_moves_bytes(tr.moves)
+        assert read_trace(trace) == tr
+        assert read_moves(moves) == list(tr.moves)
+
+
+@st.composite
+def small_graph_traces(draw):
+    """A run trace on a small_graphs graph under a drawn model: up to 3 lions,
+    none on the empty graph, and up to 8 valid steps, STAY included. Free
+    lions may stand on isolated vertices; caffeinated and polite lions stand
+    where they can move."""
+    g = draw(small_graphs())
+    model = draw(st.sampled_from(MODELS))
+    spots = [v for v in range(g.n) if model == "free" or g.adj[v]]
+    lions = tuple(draw(st.lists(st.sampled_from(spots), max_size=3))) if spots else ()
+    positions, moves = lions, []
+    for _ in range(draw(st.integers(0, 8))):
+        moves.append(draw_move(sampled(draw), g, model, positions))
+        positions = tuple(p if t == STAY else t for p, t in zip(positions, moves[-1]))
+    return run(g, model, lions, moves)
+
+
+PATH150 = make_graph(150, [(v, v + 1) for v in range(149)])
+
+
+@example(run(PATH3, "free", (), [(), ()]))  # no lions: "lions": [], "cleared": [], a [] move
+@example(run(PATH3, "free", (1,), []))  # a single record, whose move is null
+@example(run(PATH3, "free", (0, 2), [(STAY, STAY), (1, STAY)]))  # an all-STAY step
+@example(run(PATH3, "polite", (0, 2), [(STAY, STAY)]))
+# vertices of 1, 2 and 3 digits among the lions, cleared vertices and moves
+@example(run(PATH150, "free", (9, 10, 99, 100, 149),
+             [(8, 11, STAY, 101, 148), (9, 12, 98, 102, STAY)]))
+@settings(max_examples=200, deadline=None)
+@given(small_graph_traces())
+def test_trace_and_moves_files_are_their_json_rendering(tr):
+    assert_written_as_json(tr)
+
+
+def test_largest_sweep_trace_is_its_json_rendering(tmp_path):
+    """The R_{14,48} row-sweep trace, 1,317 records of up to 672 vertices."""
+    g, starts, plan = row_sweep_14_48()
+    tr = run(g, "free", starts, plan.moves)
+    path = tmp_path / "trace.jsonl"
+    write_trace(tr, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == hashlib.sha256(json_trace_bytes(tr)).hexdigest())
