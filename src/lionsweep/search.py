@@ -100,27 +100,6 @@ def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
     return out
 
 
-def _move_choices(model: str, positions: tuple, adj) -> Iterator[tuple]:
-    """Deterministic enumeration of target tuples aligned with the sorted
-    positions, one per target multiset of each vertex's stacked lions.
-
-    Lions on one vertex are interchangeable, so free and caffeinated moves
-    are the product over occupied vertices of the combinations with
-    replacement of the m lions' choices there: the group-sorted tuples of
-    the product over lions, in its order. A polite step moves the first lion
-    of a vertex only."""
-    if model == "polite":  # everyone stays, or exactly one lion moves
-        return itertools.chain((positions,), (positions[:i] + (t,) + positions[i + 1:]
-                                              for i in map(positions.index,
-                                                           dict.fromkeys(positions))
-                                              for t in adj[positions[i]]))
-    stay = model == "free"
-    groups = (itertools.combinations_with_replacement(((p,) + adj[p]) if stay else adj[p],
-                                                      positions.count(p))
-              for p in dict.fromkeys(positions))
-    return (sum(ts, ()) for ts in itertools.product(*groups))
-
-
 class _KeyCodes(dict):
     """The codes and move tables behind the state keys of one search with k
     lions on the graph with adjacency adj = g.adj: code[v], and, as a dict,
@@ -129,14 +108,14 @@ class _KeyCodes(dict):
     s above n only. Counts of at most k lions fit the b = k.bit_length()
     bits per vertex.
 
-    Two more tables fill on first use, each bounded by the lion
+    Three more tables fill on first use, each bounded by the lion
     configurations, not by the states: decoded, each position code (a key's
-    bits above n) -> its sorted positions, at most C(n+k-1, k) entries; and
-    factors, (stay, p, m, exposed) -> the code sums of the moves of m <= k
-    lions on p (factor), exposed being 0 or a set of at most m of p's
-    neighbours. A memo of whole successor-key lists per configuration and
-    vacancies would grow with the states instead, and triple the peak RSS
-    of a R_{4,4} free k=4 search."""
+    bits above n) -> its sorted positions, at most C(n+k-1, k) entries;
+    targets, (stay, p, m) -> the target multisets of m <= k lions on p, at
+    most n*k entries; and factors, (stay, p, m, exposed) -> their code sums
+    (factor), exposed being 0 or a set of at most m of p's neighbours. A
+    memo of successor-key lists per configuration and vacancies would grow
+    with the states, and triple the peak RSS of a R_{4,4} free k=4 search."""
 
     def __init__(self, adj, k: int):
         super().__init__()
@@ -146,6 +125,7 @@ class _KeyCodes(dict):
         self.code = tuple(1 << (self.n + v * self.b) for v in range(self.n))
         self.adj_steps = tuple(tuple(self.code[u] | 1 << u for u in nbrs) for nbrs in adj)
         self.decoded = {}
+        self.targets = {}
         self.factors = {}
 
     def positions(self, key: int) -> tuple:
@@ -163,23 +143,47 @@ class _KeyCodes(dict):
             self.decoded[pc] = out
         return out
 
+    def _targets(self, stay: bool, p: int, m: int) -> list:
+        """The target multisets of m lions on p: p first if they may stay, then adj[p]."""
+        if (stay, p, m) not in self.targets:
+            self.targets[stay, p, m] = list(itertools.combinations_with_replacement(
+                ((p,) + self.adj[p]) if stay else self.adj[p], m))
+        return self.targets[stay, p, m]
+
     def factor(self, stay: bool, p: int, m: int, exposed: int) -> list:
-        """The code sums of the combinations with replacement of the targets
-        of m lions on p (p itself first if they may stay, then adj[p]), each
-        plus bit p if its targets cover exposed: p's exposed mask if p is a
+        """The code sums of the moves of m lions on p (_targets), each plus
+        bit p if its targets cover exposed: p's exposed mask if p is a
         vacancy, else 0."""
         key = (stay, p, m, exposed)
         sums = self.factors.get(key)
         if sums is None:
             sums = self.factors[key] = []
-            for ts in itertools.combinations_with_replacement(
-                    ((p,) + self.adj[p]) if stay else self.adj[p], m):
+            for ts in self._targets(stay, p, m):
                 covered = 0
                 for t in ts:
                     covered |= 1 << t
                 s = sum(map(self.code.__getitem__, ts))
                 sums.append(s + (1 << p) if exposed and exposed & covered == exposed else s)
         return sums
+
+    def move(self, model: str, positions: tuple, i: int) -> tuple:
+        """The targets, aligned with the sorted positions, of the move behind
+        the i-th key _successor_keys yields from them. Polite: 0 is the stay,
+        then one block of adj[p] per distinct p, moving p's first lion. Free
+        and caffeinated: one digit of i per factor, the last the fastest."""
+        if model == "polite":
+            for p in dict.fromkeys(positions):
+                if 0 < i <= len(self.adj[p]):
+                    j = positions.index(p)
+                    return positions[:j] + (self.adj[p][i - 1],) + positions[j + 1:]
+                i -= len(self.adj[p])
+            return positions
+        targets = ()
+        for p in reversed(dict.fromkeys(positions)):
+            table = self._targets(model == "free", p, positions.count(p))
+            i, digit = divmod(i, len(table))
+            targets = table[digit] + targets
+        return targets
 
     def __missing__(self, s: int) -> int:
         key = s | vertex_mask(set(self.positions(s)), self.n)
@@ -188,8 +192,8 @@ class _KeyCodes(dict):
 
 
 def _successor_keys(frame, model: str, positions: tuple, codes: _KeyCodes) -> Iterator[int]:
-    """The keys of the states after each move of _move_choices, in its order,
-    from the state at the sorted positions whose exposure frame is given.
+    """The keys after each move from the state at the sorted positions whose
+    exposure frame is given; codes.move gives the targets of the i-th move.
 
     A move clears Safe | Occ' and each vacancy v whose exposed mask the
     targets of the lions on v cover. Bit v is one of the low n bits, so
@@ -269,29 +273,24 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         return positions, _successor_keys(frame, model, positions, codes)
 
     def witness(key: int) -> Trace:
-        # a key is admitted at its first offer, so its parent's first move
-        # giving it is the move that was searched; _move_choices yields one
-        # target multiset per vertex, as _successor_keys does
-        hops = []
-        while parents[key] is not None:
-            parent_positions, keys = expand(parents[key])
-            moves = _move_choices(model, parent_positions, g.adj)
-            hops.append((parent_positions, next(t for t, child in zip(moves, keys)
-                                                if child == key)))
-            key = parents[key]
-        hops.reverse()
-        start_positions = codes.positions(key)
-        actual = list(start_positions)
+        # a key is admitted at its first offer, so its first index among its
+        # parent's successor keys is the move that was searched
+        chain = [key]
+        while parents[chain[-1]] is not None:
+            chain.append(parents[chain[-1]])
+        actual = list(codes.positions(chain[-1]))
         steps = []
-        for prev_sorted, targets in hops:
+        for parent, child in itertools.pairwise(reversed(chain)):
+            positions, keys = expand(parent)
+            i = next(i for i, key in enumerate(keys) if key == child)
             order = sorted(range(k), key=actual.__getitem__)  # stable: ties keep lion order
-            assert [actual[lion] for lion in order] == list(prev_sorted)
+            assert [actual[lion] for lion in order] == list(positions)
             mv = [STAY] * k
-            for lion, t in zip(order, targets):
+            for lion, t in zip(order, codes.move(model, positions, i)):
                 if t != actual[lion]:
                     mv[lion] = actual[lion] = t
             steps.append(tuple(mv))
-        return run(g, model, start_positions, steps)
+        return run(g, model, codes.positions(chain[-1]), steps)
 
     while frontier:
         peak = max(peak, len(frontier))

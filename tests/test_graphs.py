@@ -302,6 +302,19 @@ def test_only_graphs_orders_adjacency():
     assert not offenders
 
 
+def test_one_place_enumerates_stacked_moves():
+    """The search lists the target multisets of stacked lions once, in one
+    table that both the successor keys and the witness read: the package
+    calls combinations_with_replacement in exactly one place."""
+    calls = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and "combinations_with_replacement" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert len(calls) == 1, calls
+
+
 def test_make_graph_validates():
     with pytest.raises(ValueError):
         make_graph(2, [(0, 0)])

@@ -20,6 +20,15 @@ def test_falldown_direction_demo_prints_a_witness():
     assert "boundary of T(S):" in proc.stdout
 
 
+def test_falldown_direction_demo_filters_by_counts():
+    proc = run_script("falldown_direction_demo.py", "-n", "4", "--counts", "3", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert "boundary of T(S): 3 vertices in S_4, 4 in R_4" in proc.stdout.splitlines()
+    proc = run_script("falldown_direction_demo.py", "-n", "4", "--counts", "9", "9")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["no witness found"]
+
+
 def test_wall_sweep_demo_sweeps():
     proc = run_script("wall_sweep_demo.py", "-n", "3", "-l", "7")
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -14,7 +16,7 @@ from lionsweep.dynamics import (STAY, SimState, Trace, exposure, initial_state, 
 from lionsweep.graphs import (boundary_size_mask, build_circulant, build_square_grid,
                               build_tri_lattice, build_triangle, is_connected, make_graph,
                               mask_vertices, vertex_mask)
-from lionsweep.search import (SearchLimits, _KeyCodes, _move_choices, _successor_keys, can_clear,
+from lionsweep.search import (SearchLimits, _KeyCodes, _successor_keys, can_clear,
                               min_lions, verify_lemma_bounds)
 
 R2 = build_tri_lattice(2, 2)
@@ -71,28 +73,30 @@ C82 = build_circulant(8, 2)
 SQ3 = build_square_grid(3)
 
 
-# (status, states_explored, peak_frontier, witness steps), with dominance
-# pruning on and, where that search takes under a second, off: any change to
-# the update kernel or the successor order that alters exploration shows here
+# (status, states_explored, peak_frontier, witness steps, witness digest),
+# with dominance pruning on and, where that search takes under a second, off:
+# any change to the update kernel or the successor order that alters
+# exploration or the witness shows here. The digest is the first 12 hex
+# digits of the sha256 of the JSON of [start lions, moves], None without one
 @pytest.mark.parametrize("g, model, k, starts, dominance, expected", [
-    (R3, "free", 3, "canonical", True, ("cleared", 926, 513, 5)),
-    (R3, "free", 3, "canonical", False, ("cleared", 1223, 680, 5)),
-    (R3, "caffeinated", 3, "canonical", True, ("cleared", 1554, 488, 7)),
-    (R3, "caffeinated", 3, "canonical", False, ("cleared", 1988, 707, 7)),
-    (R4, "free", 3, "canonical", True, ("impossible", 4241, 876, None)),
-    (R4, "free", 3, "canonical", False, ("impossible", 4766, 1007, None)),
-    (R4, "polite", 4, "canonical", True, ("cleared", 14847, 3154, 18)),
-    (P4, "free", 3, "canonical", True, ("cleared", 3069, 507, 12)),
-    (P4, "free", 3, "canonical", False, ("cleared", 4002, 685, 12)),
-    (C82, "polite", "min", "canonical", True, ("cleared", 417, 141, 7)),
-    (C82, "polite", "min", "canonical", False, ("cleared", 444, 157, 7)),
+    (R3, "free", 3, "canonical", True, ("cleared", 926, 513, 5, "cbcbe33ad576")),
+    (R3, "free", 3, "canonical", False, ("cleared", 1223, 680, 5, "cbcbe33ad576")),
+    (R3, "caffeinated", 3, "canonical", True, ("cleared", 1554, 488, 7, "afc99f70bb64")),
+    (R3, "caffeinated", 3, "canonical", False, ("cleared", 1988, 707, 7, "afc99f70bb64")),
+    (R4, "free", 3, "canonical", True, ("impossible", 4241, 876, None, None)),
+    (R4, "free", 3, "canonical", False, ("impossible", 4766, 1007, None, None)),
+    (R4, "polite", 4, "canonical", True, ("cleared", 14847, 3154, 18, "ba6bc1060b8c")),
+    (P4, "free", 3, "canonical", True, ("cleared", 3069, 507, 12, "86d2e38697dc")),
+    (P4, "free", 3, "canonical", False, ("cleared", 4002, 685, 12, "86d2e38697dc")),
+    (C82, "polite", "min", "canonical", True, ("cleared", 417, 141, 7, "35a2d656f4ba")),
+    (C82, "polite", "min", "canonical", False, ("cleared", 444, 157, 7, "35a2d656f4ba")),
     # a repeated vertex, and two start tuples that sort to one
-    (R3, "free", 3, [(4, 0, 4), (4, 4, 0)], True, ("cleared", 1084, 446, 5)),
+    (R3, "free", 3, [(4, 0, 4), (4, 4, 0)], True, ("cleared", 1084, 446, 5, "3dd14c4774b7")),
     # bipartite: one start tuple per split of the lions between the colour classes
-    (SQ3, "caffeinated", 4, "canonical", True, ("cleared", 661, 483, 3)),
-    (R3, "free", 0, "canonical", True, ("impossible", 1, 1, None)),
+    (SQ3, "caffeinated", 4, "canonical", True, ("cleared", 661, 483, 3, "4fff1d2ec3f8")),
+    (R3, "free", 0, "canonical", True, ("impossible", 1, 1, None, None)),
     # the second start clears; the first was admitted before it and is counted
-    (PATH2, "caffeinated", 2, "canonical", True, ("cleared", 2, 1, 0)),
+    (PATH2, "caffeinated", 2, "canonical", True, ("cleared", 2, 1, 0, "1bf3309e5448")),
 ], ids=["R3-free", "R3-free-nodom", "R3-caffeinated", "R3-caffeinated-nodom", "R4-free",
         "R4-free-nodom", "R4-polite", "P4-free", "P4-free-nodom", "C82-polite-min",
         "C82-polite-min-nodom", "R3-free-repeated-starts", "SQ3-caffeinated-bipartite",
@@ -105,8 +109,14 @@ def test_search_counts_are_pinned(g, model, k, starts, dominance, expected):
         verdict = result.verdict
     else:
         verdict = can_clear(g, k, model, starts, limits)
-    steps = len(verdict.trace.moves) if verdict.trace else None
-    assert (verdict.status, verdict.states_explored, verdict.peak_frontier, steps) == expected
+    trace = verdict.trace
+    steps = digest = None
+    if trace:
+        steps = len(trace.moves)
+        text = json.dumps([list(trace.states[0].lions), [list(mv) for mv in trace.moves]])
+        digest = hashlib.sha256(text.encode()).hexdigest()[:12]
+    assert (verdict.status, verdict.states_explored, verdict.peak_frontier, steps,
+            digest) == expected
 
 
 # (status, states_explored, peak_frontier, detail) at state limits around the
@@ -179,16 +189,16 @@ def test_state_limit_is_never_exceeded(g, model, data):
 
 
 def _assert_keys_match_the_kernel(g, model, positions, cleared):
-    """Every move's key is step_cleared_mask's cleared mask plus the position
-    codes of its targets, in _move_choices order, on the state's own frame
+    """Every key is step_cleared_mask's cleared mask plus the position codes
+    of the targets codes.move gives at its index, on the state's own frame
     and on that frame with its vacancies dropped; returns the moves and the
     keys on the state's own frame."""
     sorted_adj = tuple(tuple(sorted(g.adj[v])) for v in range(g.n))
     codes = _KeyCodes(sorted_adj, len(positions))
     safe, vacancies = exposure(g.neighbor_masks, positions, cleared)
-    moves = list(_move_choices(model, positions, sorted_adj))
     for frame in ((safe, []), (safe, vacancies)):
         keys = list(_successor_keys(frame, model, positions, codes))
+        moves = [codes.move(model, positions, i) for i in range(len(keys))]
         assert keys == [step_cleared_mask(frame, t) | sum(codes.code[v] for v in t)
                         for t in moves]
         assert [codes.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
@@ -263,8 +273,8 @@ def test_multiset_moves_keep_every_first_occurrence(g, model, data):
     codes = _KeyCodes(g.adj, k)
     frame = exposure(g.neighbor_masks, positions, cleared)
     reference = list(_per_lion_moves(model, positions, g.adj))
-    moves = list(_move_choices(model, positions, g.adj))
-    keys = _successor_keys(frame, model, positions, codes)
+    keys = list(_successor_keys(frame, model, positions, codes))
+    moves = [codes.move(model, positions, i) for i in range(len(keys))]
     first, first_reference = {}, {}
     for t, key in zip(moves, keys):
         first.setdefault(key, t)
@@ -293,8 +303,8 @@ def test_one_key_table_serves_many_states(g, k, data):
         positions = tuple(sorted(data.draw(st.lists(pool, min_size=k, max_size=k))))
         cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
         frame = exposure(g.neighbor_masks, positions, cleared)
-        moves = list(_move_choices(model, positions, g.adj))
         keys = list(_successor_keys(frame, model, positions, shared))
+        moves = [shared.move(model, positions, i) for i in range(len(keys))]
         assert keys == list(_successor_keys(frame, model, positions, _KeyCodes(g.adj, k)))
         assert keys == [step_cleared_mask(frame, t) | sum(map(shared.code.__getitem__, t))
                         for t in moves]
@@ -304,9 +314,10 @@ def test_one_key_table_serves_many_states(g, k, data):
 @pytest.mark.parametrize("model", ["free", "caffeinated"])
 def test_key_tables_grow_with_configurations_not_states(monkeypatch, model):
     """After a search, decoded holds at most one entry per multiset of k
-    positions, and each factor is keyed by a vertex p, a count m <= k of
-    lions on it and an exposed mask of at most m of p's neighbours (0 if p
-    is no vacancy), so neither table can grow with the states explored."""
+    positions, targets at most one per vertex p and count 1 <= m <= k of
+    lions on it, and each factor is keyed by such a p and m and an exposed
+    mask of at most m of p's neighbours (0 if p is no vacancy), so no table
+    can grow with the states explored."""
     made = []
 
     class Recorded(_KeyCodes):
@@ -319,6 +330,9 @@ def test_key_tables_grow_with_configurations_not_states(monkeypatch, model):
     verdict = can_clear(R3, k, model, limits=SearchLimits(dominance_pruning=False))
     (codes,) = made
     assert len(codes.decoded) <= math.comb(R3.n + k - 1, k) < verdict.states_explored
+    for stay, p, m in codes.targets:
+        assert stay == (model == "free") and 0 <= p < R3.n and 1 <= m <= k
+    assert len(codes.targets) <= R3.n * k < verdict.states_explored
     masks = R3.neighbor_masks
     for stay, p, m, exposed in codes.factors:
         assert stay == (model == "free") and 1 <= m <= k
