@@ -35,6 +35,12 @@ def corpus():
     yield "K_6", build_circulant(6, 3)
 
 
+def minimum(result) -> str:
+    """k* if the last search cleared, else ?(its status)."""
+    status = result.verdict.status
+    return str(result.k) if status == "cleared" else f"?({status})"
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--kmax", type=int, default=6)
@@ -48,14 +54,12 @@ def main():
     for name, g in corpus():
         cheeger = cheeger_constant(g)
         excluded = lion_bound(cheeger.value, g.n)
-        free = min_lions(g, "free", args.kmax)
-        k_free = free.k if free.status == "found" else f"?({free.status})"
-        row = f"{name:10} {g.n:>4} {str(cheeger.value):>6} {excluded:>9} {str(k_free):>8}"
+        k_free = minimum(min_lions(g, "free", args.kmax))
+        row = f"{name:10} {g.n:>4} {str(cheeger.value):>6} {excluded:>9} {k_free:>8}"
         if args.polite:
             excluded_p = polite_lion_bound(cheeger.value, g.n)
-            polite = min_lions(g, "polite", args.kmax)
-            k_pol = polite.k if polite.status == "found" else f"?({polite.status})"
-            row += f" {excluded_p:>9} {str(k_pol):>7}"
+            k_pol = minimum(min_lions(g, "polite", args.kmax))
+            row += f" {excluded_p:>9} {k_pol:>7}"
         print(row)
 
 

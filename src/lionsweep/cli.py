@@ -26,23 +26,19 @@ def _parse_ints(text: str) -> tuple:
     return tuple(int(x) for x in text.replace(",", " ").split())
 
 
-# the flags each graph family takes besides -n
-_FAMILY_FLAGS = {"square": "", "tri": "l", "triangle": "", "circulant": "k"}
+# each graph family's builder in graphs, named so that it is looked up per
+# call (the benchmark's tracer rebinds it), and the size flags it takes after -n
+_FAMILIES = {"square": ("build_square_grid", ""), "tri": ("build_tri_lattice", "l"),
+             "triangle": ("build_triangle", ""), "circulant": ("build_circulant", "k")}
 
 
 def _build_family(args) -> graphs.Graph:
+    builder, flags = _FAMILIES[args.family]
     for flag in "lk":
         given = getattr(args, flag) is not None
-        if given != (flag in _FAMILY_FLAGS[args.family]):
+        if given != (flag in flags):
             raise ValueError(f"{args.family} {'takes no' if given else 'needs'} -{flag}")
-    if args.family == "square":
-        return graphs.build_square_grid(args.n)
-    if args.family == "tri":
-        return graphs.build_tri_lattice(args.n, args.l)
-    if args.family == "triangle":
-        return graphs.build_triangle(args.n)
-    # circulant: the parser's choices admit no other family
-    return graphs.build_circulant(args.n, args.k)
+    return getattr(graphs, builder)(args.n, *(getattr(args, flag) for flag in flags))
 
 
 def cmd_graph(args) -> int:
@@ -99,11 +95,13 @@ def cmd_search(args) -> int:
     if args.min:
         result = search.min_lions(g, args.model, args.kmax, limits)
         verdict = result.verdict
-        if result.status == "found":
+        if verdict.status == "cleared":
             print(f"k* = {result.k} (states={verdict.states_explored}, "
                   f"peak_frontier={verdict.peak_frontier})")
+        elif verdict.status == "unknown":
+            print(f"unknown: search at k={result.k} hit its limits")
         else:
-            print(f"unknown: {result.detail}" if result.status == "unknown" else result.detail)
+            print(f"no sweep with up to {result.k} lions")
     else:
         verdict = search.can_clear(g, args.k, args.model, starts, limits)
         print(f"{verdict.status} (states={verdict.states_explored}, "
@@ -179,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("graph", help="build a graph family and write its edge list")
-    p.add_argument("family", choices=list(_FAMILY_FLAGS))
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-l", type=int)
     p.add_argument("-k", type=int)

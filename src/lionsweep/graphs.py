@@ -32,7 +32,6 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]  # v's neighbours in increasing order: the neighbour order
     coords: Optional[tuple[Coord, ...]] = None
-    family: Optional[str] = None
 
     def __post_init__(self):
         if self.n < 0 or len(self.adj) != self.n:
@@ -60,9 +59,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
 
     @cached_property
     def _coord_index(self) -> dict:
@@ -93,8 +89,7 @@ class Graph:
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]],
-               coords: Optional[tuple[Coord, ...]] = None,
-               family: Optional[str] = None) -> Graph:
+               coords: Optional[tuple[Coord, ...]] = None) -> Graph:
     """Build a Graph from an edge list, validating the simple-graph invariants."""
     nbrs: list = [set() for _ in range(n)]
     for u, v in edges:
@@ -104,10 +99,10 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]],
             raise ValueError(f"edge {u}-{v} out of range 0..{n - 1}")
         nbrs[u].add(v)
         nbrs[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs), coords, family)
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs), coords)
 
 
-def _lattice(coords: tuple, offsets, family: str) -> Graph:
+def _lattice(coords: tuple, offsets) -> Graph:
     """The graph on the grid coordinates joining each (r, c) to every
     (r + dr, c + dc) among them, for (dr, dc) in offsets."""
     idx = {rc: i for i, rc in enumerate(coords)}
@@ -117,7 +112,7 @@ def _lattice(coords: tuple, offsets, family: str) -> Graph:
             j = idx.get((r + dr, c + dc))
             if j is not None:
                 edges.append((i, j))
-    return make_graph(len(coords), edges, coords, family)
+    return make_graph(len(coords), edges, coords)
 
 
 def build_square_grid(n: int) -> Graph:
@@ -125,7 +120,7 @@ def build_square_grid(n: int) -> Graph:
     if n < 1:
         raise ValueError("square grid needs n >= 1")
     coords = tuple((r, c) for r in range(1, n + 1) for c in range(1, n + 1))
-    return _lattice(coords, ((0, 1), (1, 0)), "square")
+    return _lattice(coords, ((0, 1), (1, 0)))
 
 
 def build_tri_lattice(n: int, l: int) -> Graph:
@@ -138,7 +133,7 @@ def build_tri_lattice(n: int, l: int) -> Graph:
     if n < 1 or l < 1:
         raise ValueError("triangulated parallelogram needs n, l >= 1")
     coords = tuple((r, c) for r in range(1, n + 1) for c in range(1, l + 1))
-    return _lattice(coords, ((0, 1), (1, 0), (-1, 1)), "tri_lattice")
+    return _lattice(coords, ((0, 1), (1, 0), (-1, 1)))
 
 
 def build_triangle(n: int) -> Graph:
@@ -149,7 +144,7 @@ def build_triangle(n: int) -> Graph:
     if n < 1:
         raise ValueError("triangular grid needs n >= 1")
     coords = tuple((r, i) for r in range(1, n + 1) for i in range(1, r + 1))
-    return _lattice(coords, ((0, 1), (1, 0), (1, 1)), "triangle")
+    return _lattice(coords, ((0, 1), (1, 0), (1, 1)))
 
 
 def build_circulant(n: int, k: int) -> Graph:
@@ -163,7 +158,7 @@ def build_circulant(n: int, k: int) -> Graph:
     for i in range(n):
         for d in range(1, k + 1):
             edges.append((i, (i + d) % n))  # set-based adjacency dedups the wraparounds
-    return make_graph(n, edges, None, "circulant")
+    return make_graph(n, edges)
 
 
 def check_vertices(g: Graph, vertices) -> None:
@@ -309,4 +304,4 @@ def load_graph(path) -> Graph:
             edges.append(key)
     if n is None:
         raise ParseError("missing 'vertices <N>' header", 1)
-    return make_graph(n, edges, None, "custom")
+    return make_graph(n, edges)

@@ -57,7 +57,7 @@ def _fill_tables(n: int):
     return col_mask, row_mask, col_fill, row_fill_left, row_fill_right
 
 
-def _fall_down_mask(n: int, mask: int, push_left: bool = True) -> int:
+def _fall_down_mask(n: int, mask: int, push_left: bool) -> int:
     col_mask, row_mask, col_fill, row_fill_left, row_fill_right = _fill_tables(n)
     dropped = 0
     for c in range(n):
@@ -90,7 +90,6 @@ def boundary_in_both(n: int, s) -> tuple:
 class FallDownReport:
     """Exhaustive check of the two fall-down lemmas over every subset."""
 
-    n: int
     subsets_checked: int
     monotone_violations: tuple  # subsets whose image gained boundary vertices
     boundary_match_violations: tuple  # subsets whose image has differing S_n and R_n boundaries
@@ -126,7 +125,7 @@ def falldown_check(n: int) -> FallDownReport:
             match_bad.append(mask)
         if b_sq > boundary_size_mask(sq_adj, mask) or b_tri > boundary_size_mask(tri_adj, mask):
             mono_bad.append(mask)
-    return FallDownReport(n, 1 << (n * n),
+    return FallDownReport(1 << (n * n),
                           tuple(frozenset(mask_vertices(m)) for m in mono_bad),
                           tuple(frozenset(mask_vertices(m)) for m in match_bad))
 
@@ -362,7 +361,6 @@ class ConjectureReport:
     """Per-cardinality comparison of the exhaustive minimum boundary against
     the two packings, plus the derived thresholds.  Reported, not asserted."""
 
-    n: int
     rows: tuple  # (size, min_boundary, row_boundary, ice_boundary, holds)
     lion_threshold: int  # floor(n / (2*sqrt(2)))
     window_size: int  # T_{floor(sqrt(T_n))}
@@ -397,7 +395,6 @@ def conjecture_report(n: int) -> ConjectureReport:
     # floor(n/sqrt(2)) = isqrt(n^2/2) and floor(n/(2 sqrt 2)) = isqrt(n^2/8), exactly
     window_size = triangular(isqrt(total))
     return ConjectureReport(
-        n=n,
         rows=tuple(rows),
         lion_threshold=isqrt(n * n // 8),
         window_size=window_size,

@@ -318,30 +318,29 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
 
 @dataclass(frozen=True)
 class MinLionsResult:
-    status: str  # "found" | "unknown" | "not_found"
-    k: Optional[int] = None
-    verdict: Optional[SearchVerdict] = None
-    detail: str = ""
+    """The last lion count min_lions searched and its verdict: if cleared, k
+    is the minimum; if unknown, the search at k hit its limits; if
+    impossible, k is k_max and no count up to it sweeps."""
+
+    k: int
+    verdict: SearchVerdict
 
 
 def min_lions(g: Graph, model: str = "free", k_max: int = 4,
               limits: Optional[SearchLimits] = None) -> MinLionsResult:
-    """Smallest k in 0..k_max that sweeps g, with the witness verdict.
+    """Search k = 0..k_max and stop at the first verdict that is not impossible.
 
-    Returns unknown as soon as an intermediate search hits its limits, since
-    a larger k being cleared would not certify minimality, and not_found
-    with the k_max search's impossible verdict.
+    Cleared gives the minimum k with its witness. Unknown stops too, since a
+    larger k being cleared would not certify minimality. Impossible at every
+    k returns k = k_max with its verdict.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     for k in range(k_max + 1):
         verdict = can_clear(g, k, model, "canonical", limits)
-        if verdict.status == "cleared":
-            return MinLionsResult("found", k, verdict)
-        if verdict.status == "unknown":
-            return MinLionsResult("unknown", None, verdict,
-                                  f"search at k={k} hit its limits")
-    return MinLionsResult("not_found", None, verdict, f"no sweep with up to {k_max} lions")
+        if verdict.status != "impossible":
+            break
+    return MinLionsResult(k, verdict)
 
 
 @dataclass(frozen=True)

@@ -158,14 +158,11 @@ def row_sweep_moves(n: int, l: int, starts: Sequence) -> MovePlan:
     check_vertices(g, starts)
 
     moves = []
-    pos = list(starts)
     for i in range(n):
-        target = g.vertex_at(i + 1, 1)
-        for nxt in _shortest_walk(g, pos[i], target)[1:]:
+        for nxt in _shortest_walk(g, starts[i], g.vertex_at(i + 1, 1))[1:]:
             mv = [STAY] * n
             mv[i] = nxt
             moves.append(tuple(mv))
-            pos[i] = nxt
 
     # Hold until leftover cleared debris from the gathering walk has
     # recontaminated; the sweep's monotonicity argument starts from a state

@@ -94,7 +94,7 @@ def test_criterion_04_exact_search_half_n_insufficient():
     assert v.status == "cleared"
     assert is_swept(v.trace, r2) is not None
     result = min_lions(r2, "free", 3, limits)
-    assert (result.status, result.k) == ("found", 2)
+    assert (result.verdict.status, result.k) == ("cleared", 2)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     _passed(4, "floor(n/2) lions provably insufficient on R_2, R_3", elapsed)
@@ -187,13 +187,13 @@ def test_criterion_08_cheeger_and_bound_cross_check():
     for g in corpus:
         g_val = cheeger_constant(g).value
         result = min_lions(g, "free", 6)
-        if result.status == "found":
-            assert result.k > lion_bound(g_val, g.n), g.family
+        if result.verdict.status == "cleared":
+            assert result.k > lion_bound(g_val, g.n), g.adj
             checked_free += 1
         if g.n <= 6:
             result = min_lions(g, "polite", 6)
-            if result.status == "found":
-                assert result.k > polite_lion_bound(g_val, g.n), g.family
+            if result.verdict.status == "cleared":
+                assert result.k > polite_lion_bound(g_val, g.n), g.adj
                 checked_polite += 1
     assert checked_free >= 20
     assert checked_polite >= 10

@@ -103,7 +103,7 @@ def test_search_exit_codes(tmp_path, capsys):
     assert witness.exists()
     capsys.readouterr()
     assert main(["search", str(r2), "--model", "free", "--min", "--kmax", "3"]) == 0
-    assert "k* = 2" in capsys.readouterr().out
+    assert capsys.readouterr().out == "k* = 2 (states=14, peak_frontier=9)\n"
     assert main(["search", str(r2), "--model", "free", "-k", "2",
                  "--max-states", "2"]) == 20
 

@@ -360,8 +360,11 @@ def test_trace_serialization_round_trip(tmp_path):
     write_trace(tr, path)
     back = read_trace(path)
     assert back == tr
-    first = path.read_text().splitlines()[0]
+    first, *rest = path.read_text().splitlines(keepends=True)
     assert '"move": null' in first
+    # empty and whitespace-only lines between and after the records are skipped
+    path.write_text(first + "  \t\n\n" + "".join(rest) + " \n\n")
+    assert read_trace(path) == tr
 
 
 @pytest.mark.parametrize("field, value", [("t", 5), ("lions", [0]), ("move", 5),

@@ -37,14 +37,14 @@ def test_zero_lions_never_clear():
 
 def test_two_vertex_path_needs_one():
     result = min_lions(PATH2, "free", 2)
-    assert (result.status, result.k) == ("found", 1)
+    assert (result.verdict.status, result.k) == ("cleared", 1)
 
 
 def test_four_cycle_needs_two():
     c4 = build_circulant(4, 1)
     assert can_clear(c4, 1).status == "impossible"
     result = min_lions(c4, "free", 3)
-    assert (result.status, result.k) == ("found", 2)
+    assert (result.verdict.status, result.k) == ("cleared", 2)
 
 
 def test_half_n_lions_insufficient_on_triangulated_square():
@@ -53,7 +53,7 @@ def test_half_n_lions_insufficient_on_triangulated_square():
     verdict = can_clear(R2, 2)
     assert verdict.status == "cleared"
     result = min_lions(R2, "free", 3)
-    assert (result.status, result.k) == ("found", 2)
+    assert (result.verdict.status, result.k) == ("cleared", 2)
 
 
 def test_witness_replays_with_model_validation():
@@ -406,7 +406,7 @@ def test_state_limit_returns_unknown():
     verdict = can_clear(build_square_grid(3), 2, limits=SearchLimits(max_states=10))
     assert verdict.status == "unknown"
     result = min_lions(build_square_grid(3), "free", 3, SearchLimits(max_states=10))
-    assert result.status == "unknown"
+    assert (result.verdict.status, result.k) == ("unknown", 2)
 
 
 def test_monotone_in_lion_count(rng):

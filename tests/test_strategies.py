@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import random_connected_graph
 from lionsweep import strategies
-from lionsweep.dynamics import (Trace, initial_state, is_monotone, is_swept,
+from lionsweep.dynamics import (STAY, Trace, initial_state, is_monotone, is_swept,
                                 run, step, validate_moves)
-from lionsweep.errors import WalkParityError, WalkTooShortError
+from lionsweep.errors import InfeasibleWalkError, WalkParityError, WalkTooShortError
 from lionsweep.graphs import build_square_grid, build_tri_lattice, make_graph
 from lionsweep.strategies import (caffeinated_wall_moves, column_positions,
                                   exact_length_walk, naive_column_sweep_moves,
@@ -64,6 +64,15 @@ def test_exact_walk_too_short():
     g = build_tri_lattice(3, 3)
     with pytest.raises(WalkTooShortError):
         exact_length_walk(g, g.vertex_at(1, 1), g.vertex_at(3, 3), 1)
+
+
+def test_walks_from_an_isolated_vertex_cannot_be_padded():
+    """A closed walk of positive length needs a neighbour to bounce off."""
+    for plan in (lambda: exact_length_walk(build_tri_lattice(1, 1), 0, 0, 2),
+                 lambda: simultaneous_repositioning(make_graph(2, []), (0,), (0,))):
+        with pytest.raises(InfeasibleWalkError,
+                           match="vertex 0 has no neighbors to pad a walk with"):
+            plan()
 
 
 def test_exact_walk_matches_parity_oracle(rng):
@@ -281,6 +290,20 @@ def test_row_sweep_from_formation_is_monotone_and_polite():
     tr = run(g, "polite", starts, plan.moves)  # one lion moves at a time
     assert is_swept(tr, g) is not None
     assert is_monotone(tr)
+
+
+def test_row_sweep_holds_until_the_gathering_debris_recontaminates():
+    """On R_{2,3} from (5, 4) the gathering leaves vertex 5 cleared, so the
+    formation ends with one hold step, after which the sweep is monotone."""
+    g = build_tri_lattice(2, 3)
+    plan = row_sweep_moves(2, 3, (5, 4))
+    assert plan.formation_steps == 5
+    assert plan.moves[4] == (STAY, STAY)
+    tr = run(g, "free", (5, 4), plan.moves)
+    assert 5 in tr.states[4].cleared
+    suffix = Trace(tr.states[plan.formation_steps:], tr.moves[plan.formation_steps:])
+    assert is_monotone(suffix)
+    assert is_swept(tr, g) is not None
 
 
 def test_row_sweep_arbitrary_starts(rng):
