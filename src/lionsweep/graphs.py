@@ -79,11 +79,14 @@ class Graph:
     def neighbor_masks(self) -> NeighborMasks:
         """Per-vertex adjacency as bitmasks, bit u of entry v set iff uv is an
         edge, carrying the graph's shift table (see NeighborMasks)."""
-        masks = NeighborMasks(sum(1 << u for u in nbrs) for nbrs in self.adj)
-        lows: dict = {}
-        for u, v in self.edges():
-            lows[v - u] = lows.get(v - u, 0) | 1 << u
-        masks.shifts = tuple(lows.items())
+        bit = (1).__lshift__
+        masks = NeighborMasks(sum(map(bit, nbrs)) for nbrs in self.adj)
+        lows: dict = {}  # index difference -> the low ends of its edges, in edges() order
+        for u, nbrs in enumerate(self.adj):
+            for v in nbrs:
+                if v > u:
+                    lows.setdefault(v - u, []).append(u)
+        masks.shifts = tuple((d, sum(map(bit, us))) for d, us in lows.items())
         masks.full = (1 << self.n) - 1
         return masks
 
@@ -263,20 +266,18 @@ def save_graph(g: Graph, path) -> None:
 def load_graph(path) -> Graph:
     """Read the edge-list text format written by save_graph.
 
-    Lines starting with '#' are comments.  Rejects self-loops, duplicate
-    edges (after u<v normalization), and out-of-range endpoints, reporting
-    the offending line number.
+    Lines whose first non-blank character is '#' are comments, and blank
+    lines are skipped.  Rejects self-loops, duplicate edges (in either
+    orientation), and out-of-range endpoints, reporting the offending line
+    number.
     """
-    n = None
-    edges = []
-    seen = set()
+    nbrs = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            if n is None:
-                parts = line.split()
+            if nbrs is None:
                 if len(parts) != 2 or parts[0] != "vertices":
                     raise ParseError("expected header 'vertices <N>'", lineno)
                 try:
@@ -285,8 +286,8 @@ def load_graph(path) -> Graph:
                     raise ParseError("vertex count is not an integer", lineno) from None
                 if n < 0:
                     raise ParseError("negative vertex count", lineno)
+                nbrs = [set() for _ in range(n)]
                 continue
-            parts = line.split()
             if len(parts) != 2:
                 raise ParseError("expected 'u v' edge line", lineno)
             try:
@@ -297,11 +298,10 @@ def load_graph(path) -> Graph:
                 raise ParseError(f"self-loop {u} {v}", lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"edge endpoint out of range 0..{n - 1}", lineno)
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ParseError(f"duplicate edge {key[0]} {key[1]}", lineno)
-            seen.add(key)
-            edges.append(key)
-    if n is None:
+            if v in nbrs[u]:
+                raise ParseError(f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    if nbrs is None:
         raise ParseError("missing 'vertices <N>' header", 1)
-    return make_graph(n, edges)
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))

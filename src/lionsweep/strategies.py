@@ -6,10 +6,16 @@
   vertical wall of lion triangles that crosses the grid.
 * the row sweep gathers along shortest walks and the wall forms by
   simultaneous repositioning; exact_length_walk is a standalone planner.
+
+Every walk is read off the tables of one breadth-first search per lion over
+(vertex, parity) states.  A walk of length d has parity d % 2, so the search
+runs level by level over plain vertex lists, and a planner stops it after the
+level that reaches its target at both parities: every entry on a walk to the
+target is final by then.  parity_distances is the same search run to
+exhaustion, as are the planners' searches when the target misses a parity.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,26 +40,43 @@ def parity_distances(g: Graph, u: int):
     Returns (dist, parent) where dist[p][v] is the least length of a u-v walk
     of parity p (None if no such walk) and parent[p][v] is the vertex before
     v on one such shortest walk, reached by a walk of parity p ^ 1 (None for
-    the empty walk at u and where dist[p][v] is None).  Neighbors are visited
+    the empty walk at u and where dist[p][v] is None).  The search runs level
+    by level: level d holds the vertices first reached by a walk of length d,
+    all of parity d % 2, in the order they were found.  Neighbors are visited
     in Graph.adj's increasing order, so the walks are deterministic.
     """
+    return _parity_bfs(g, u, None)
+
+
+def _parity_bfs(g: Graph, u: int, target):
+    """parity_distances' search, stopped after the level that reaches target
+    at both parities; entries set by then are the full tables' entries.  With
+    target None, or a target missing a parity, the search runs to exhaustion.
+    """
+    adj = g.adj
     dist = [[None] * g.n, [None] * g.n]
     parent = [[None] * g.n, [None] * g.n]
     dist[0][u] = 0
-    queue = deque([(u, 0)])
-    while queue:
-        v, p = queue.popleft()
-        q = p ^ 1
-        for w in g.adj[v]:
-            if dist[q][w] is None:
-                dist[q][w] = dist[p][v] + 1
-                parent[q][w] = v
-                queue.append((w, q))
+    level = [u]
+    d = 0
+    while level:
+        d += 1
+        found, came = dist[d % 2], parent[d % 2]
+        nxt = []
+        for v in level:
+            for w in adj[v]:
+                if found[w] is None:
+                    found[w] = d
+                    came[w] = v
+                    nxt.append(w)
+        level = nxt
+        if target is not None and dist[0][target] is not None and dist[1][target] is not None:
+            break
     return dist, parent
 
 
 def _read_walk(g: Graph, parent, v: int, m: int) -> list:
-    """The length-m walk to v off a parity_distances parent table: the
+    """The length-m walk to v off a _parity_bfs parent table: the
     shortest walk of m's parity, after bounces between its start u and u's
     smallest neighbor.  The caller checks that that walk exists and is no
     longer than m.
@@ -75,7 +98,7 @@ def _read_walk(g: Graph, parent, v: int, m: int) -> list:
 
 def _shortest_walk(g: Graph, u: int, v: int) -> list:
     """One shortest u-v walk (vertex list); v must be reachable from u."""
-    dist, parent = parity_distances(g, u)
+    dist, parent = _parity_bfs(g, u, v)
     return _read_walk(g, parent, v, min(d for d in (dist[0][v], dist[1][v]) if d is not None))
 
 
@@ -91,7 +114,7 @@ def exact_length_walk(g: Graph, u: int, v: int, m: int) -> Walk:
     check_vertices(g, (u, v))
     if m < 0:
         raise ValueError("walk length must be >= 0")
-    dist, parent = parity_distances(g, u)
+    dist, parent = _parity_bfs(g, u, v)
     p = m % 2
     d_same = dist[p][v]
     d_other = dist[p ^ 1][v]
@@ -124,7 +147,7 @@ def simultaneous_repositioning(g: Graph, starts: Sequence, targets: Sequence) ->
         return ()
     ends, parents = [], []
     for s, t in zip(starts, targets):
-        dist, parent = parity_distances(g, s)
+        dist, parent = _parity_bfs(g, s, t)
         if dist[0][t] is None and dist[1][t] is None:
             raise ValueError(f"target {t} unreachable from {s}")
         ends.append((dist[0][t], dist[1][t]))

@@ -195,6 +195,27 @@ def test_neighbor_masks_shift_table():
     assert (empty, empty.shifts, empty.full) == ((0, 0, 0), (), 7)
 
 
+def _assert_masks_match_edges(g):
+    """neighbor_masks against a direct per-edge construction."""
+    masks, lows = [0] * g.n, {}
+    for u, v in g.edges():
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+        lows[v - u] = lows.get(v - u, 0) | 1 << u
+    got = g.neighbor_masks
+    assert (list(got), dict(got.shifts), got.full) == (masks, lows, (1 << g.n) - 1)
+
+
+@given(small_graphs())
+def test_neighbor_masks_match_edges(g):
+    _assert_masks_match_edges(g)
+
+
+@pytest.mark.parametrize("spec", WIDE_GRAPHS)
+def test_neighbor_masks_match_edges_on_wide_graphs(spec):
+    _assert_masks_match_edges(wide_graph(spec))
+
+
 @pytest.mark.parametrize("g", [make_graph(0, []), make_graph(5, []), make_graph(3, [(0, 1)]),
                                make_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)]),
                                build_tri_lattice(2, 3), build_circulant(7, 3)])
@@ -239,15 +260,25 @@ def test_load_header_only(tmp_path):
 def test_load_rejects_duplicates_and_garbage(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("vertices 3\n0 1\n1 0\n")
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ParseError, match="^line 3: duplicate edge 0 1$") as exc:
         load_graph(path)
     assert exc.value.line == 3
+    path.write_text("vertices 3\n0 1\n# 1 3\n1 2\n2 3\n")
+    with pytest.raises(ParseError, match=r"^line 5: edge endpoint out of range 0\.\.2$"):
+        load_graph(path)
     path.write_text("vertices 3\n0 x\n")
     with pytest.raises(ParseError):
         load_graph(path)
     path.write_text("0 1\n")
     with pytest.raises(ParseError):
         load_graph(path)
+
+
+def test_load_skips_blank_and_indented_comment_lines(tmp_path):
+    path = tmp_path / "commented.txt"
+    path.write_text("  # a path\n\nvertices 3\n \t\n0 1\n    # 0 1 again\n1 2\n   \n")
+    g = load_graph(path)
+    assert (g.n, list(g.edges())) == (3, [(0, 1), (1, 2)])
 
 
 def _assert_increasing_adjacency(g):

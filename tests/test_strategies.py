@@ -12,7 +12,7 @@ from lionsweep import strategies
 from lionsweep.dynamics import (STAY, Trace, initial_state, is_monotone, is_swept,
                                 run, step, validate_moves)
 from lionsweep.errors import InfeasibleWalkError, WalkParityError, WalkTooShortError
-from lionsweep.graphs import build_square_grid, build_tri_lattice, make_graph
+from lionsweep.graphs import build_square_grid, build_tri_lattice, build_triangle, make_graph
 from lionsweep.strategies import (caffeinated_wall_moves, column_positions,
                                   exact_length_walk, naive_column_sweep_moves,
                                   parity_distances, row_sweep_moves,
@@ -95,14 +95,61 @@ def test_exact_walk_matches_parity_oracle(rng):
                     exact_length_walk(g, u, v, m)
 
 
-def test_parity_distances_match_oracle(rng):
-    g = build_tri_lattice(2, 4)
-    for u in range(g.n):
-        dist, _ = parity_distances(g, u)
-        oracle = bfs_parity_oracle(g, u)
-        for v in range(g.n):
-            for p in (0, 1):
-                assert dist[p][v] == oracle.get((v, p))
+# R_{2,4}, S_3 (bipartite), P_3, one vertex, and a disconnected graph: a
+# triangle, an edge and an isolated vertex.
+WALK_GRAPHS = (build_tri_lattice(2, 4), build_square_grid(3), build_triangle(3), make_graph(1, []),
+               make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)]))
+
+
+def _parent_chain(parent, v, p):
+    """The vertices on the parent chain of (v, parity p), v first."""
+    chain = [v]
+    while parent[p][v] is not None:
+        v = parent[p][v]
+        p ^= 1
+        chain.append(v)
+    return chain
+
+
+def test_parity_distances_match_oracle():
+    """The full tables match a plain (vertex, parity) BFS, and the search that
+    stops at a target leaves that target's two distances and both parent
+    chains as the full tables have them."""
+    for g in WALK_GRAPHS:
+        for u in range(g.n):
+            dist, parent = parity_distances(g, u)
+            oracle = bfs_parity_oracle(g, u)
+            for t in range(g.n):
+                assert [dist[0][t], dist[1][t]] == [oracle.get((t, 0)), oracle.get((t, 1))]
+                dist_t, parent_t = strategies._parity_bfs(g, u, t)
+                for p in (0, 1):
+                    assert dist_t[p][t] == dist[p][t], (g, u, t, p)
+                    if dist[p][t] is not None:
+                        assert _parent_chain(parent_t, t, p) == _parent_chain(parent, t, p)
+
+
+def test_targeted_search_stops_at_its_target():
+    g = build_tri_lattice(4, 10)
+    far = g.vertex_at(4, 10)
+    dist, _ = strategies._parity_bfs(g, 0, 1)  # 1 is reached at lengths 1 and 2
+    assert (dist[0][1], dist[1][1]) == (2, 1)
+    assert (dist[0][far], dist[1][far]) == (None, None)
+
+
+def test_exact_length_walks_are_pinned():
+    # every walk or refusal for m = 0..6 on WALK_GRAPHS, as generated by the
+    # full two-parity search
+    rows = []
+    for g in WALK_GRAPHS:
+        for u in range(g.n):
+            for v in range(g.n):
+                for m in range(7):
+                    try:
+                        rows.append(exact_length_walk(g, u, v, m))
+                    except ValueError as exc:
+                        rows.append(f"{type(exc).__name__}: {exc}")
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "55789ed13cc8fb3799fe8faf8be9fbc0a47d51ab1941c3929d2834de38a8463c"
 
 
 def test_repositioning_single_lion_adjacent():
@@ -176,13 +223,13 @@ def test_repositioning_length_is_least_common_walk_length(seed, bipartite):
 
 def test_repositioning_runs_one_bfs_per_lion(monkeypatch):
     calls = []
-    real = strategies.parity_distances
+    real = strategies._parity_bfs
 
-    def counting(g, u):
+    def counting(g, u, target):
         calls.append(u)
-        return real(g, u)
+        return real(g, u, target)
 
-    monkeypatch.setattr(strategies, "parity_distances", counting)
+    monkeypatch.setattr(strategies, "_parity_bfs", counting)
     g = build_tri_lattice(3, 4)
     starts = (0, 5, 11, 7)
     simultaneous_repositioning(g, starts, wall_positions(3, 4))
@@ -259,6 +306,27 @@ def test_wall_plans_are_pinned_in_full():
             for n, l, starts, plan, err in _wall_grid()]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == "472c3e0c7fc34aac37d4469dcd1f8ea47a4fcb01164a9e25e33c9978e0f84e53"
+
+
+def test_planners_are_pinned_on_simulate_sized_grids():
+    # row sweeps and wall plans (or refusals) on the R_{n,l} sizes of the
+    # simulate benchmark, where the walks' searches stop furthest from
+    # exhausting the grid; one digest over every move of every plan
+    rows = []
+    for n in (2, 5, 8, 11, 14):
+        for l in (8, 20, 33, 44):
+            rng = random.Random(100 * n + l)
+            for plan_fn, lions in ((row_sweep_moves, n), (caffeinated_wall_moves, (3 * n) // 2)):
+                for _ in range(2):
+                    starts = tuple(rng.randrange(n * l) for _ in range(lions))
+                    try:
+                        plan = plan_fn(n, l, starts)
+                    except ValueError as exc:
+                        rows.append((n, l, starts, None, str(exc)))
+                    else:
+                        rows.append((n, l, starts, (plan.formation_steps, plan.moves), None))
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "2860a9d8a19739cebd3fa372d7a42455e6d5cdfbe9b337b40b44578cfea09b31"
 
 
 def test_wall_lions_stay_on_distinct_vertices_after_formation():
