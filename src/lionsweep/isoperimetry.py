@@ -21,13 +21,6 @@ from .graphs import (Graph, boundary, boundary_size_mask, build_square_grid,
 SUBSET_BUDGET_BITS = 20
 
 
-def _check_budget(what: str, bits: int) -> None:
-    """Refuse an enumeration of 2^bits subsets over the budget, before it starts."""
-    if bits > SUBSET_BUDGET_BITS:
-        raise ResourceLimitError(f"{what} enumerates 2^{bits} subsets, "
-                                 f"over the budget of 2^{SUBSET_BUDGET_BITS}")
-
-
 def triangular(n: int) -> int:
     """The n-th triangular number n(n+1)/2."""
     if n < 0:
@@ -42,41 +35,33 @@ def _grid_pair(n: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _fill_tables(n: int):
-    """Bitmask tables for the fall-down phases on the n x n grid."""
-    def cells(rows, cols):
-        return vertex_mask([(r - 1) * n + (c - 1) for r in rows for c in cols], n * n)
-
-    sides = range(1, n + 1)
-    col_mask = [cells(sides, [c]) for c in sides]
-    row_mask = [cells([r], sides) for r in sides]
-    col_fill = [[cells(range(1, cnt + 1), [c]) for cnt in range(n + 1)] for c in sides]
-    row_fill_left = [[cells([r], range(1, cnt + 1)) for cnt in range(n + 1)] for r in sides]
-    row_fill_right = [[cells([r], range(n - cnt + 1, n + 1)) for cnt in range(n + 1)]
-                      for r in sides]
-    return col_mask, row_mask, col_fill, row_fill_left, row_fill_right
+def _column_masks(n: int) -> tuple:
+    """The mask of each column of the n x n grid, bottom cell at bit c."""
+    return tuple(vertex_mask(range(c, n * n, n), n * n) for c in range(n))
 
 
-def _fall_down_mask(n: int, mask: int, push_left: bool) -> int:
-    col_mask, row_mask, col_fill, row_fill_left, row_fill_right = _fill_tables(n)
-    dropped = 0
-    for c in range(n):
-        dropped |= col_fill[c][(mask & col_mask[c]).bit_count()]
-    row_fill = row_fill_left if push_left else row_fill_right
+def _fall_down_image(n: int, counts: tuple, push_left: bool) -> int:
+    """The fall-down image, as a mask, of a subset with these column counts.
+    The bottom h cells of a column are its bits below h * n."""
     out = 0
-    for r in range(n):
-        out |= row_fill[r][(dropped & row_mask[r]).bit_count()]
+    for col, h in zip(_column_masks(n), sorted(counts, reverse=push_left)):
+        out |= col & ((1 << (h * n)) - 1)
     return out
 
 
 def fall_down(n: int, s) -> frozenset:
     """Drop the subset down each column, then push each row to the left.
 
-    Column counts are preserved by the first phase and row counts by the
-    second, so the image has the same cardinality as s.
+    The image is the bottom-aligned staircase whose column heights are s's
+    column counts in decreasing order: after the drop, row r holds the
+    columns of height at least r, so pushing the rows left makes column c as
+    high as the c-th highest column.  It has as many vertices as s.
     """
-    out = _fall_down_mask(n, vertex_mask(s, n * n), push_left=True)
-    return frozenset(mask_vertices(out))
+    if n < 1:
+        raise ValueError("fall-down needs n >= 1")
+    mask = vertex_mask(s, n * n)
+    counts = tuple((mask & m).bit_count() for m in _column_masks(n))
+    return frozenset(mask_vertices(_fall_down_image(n, counts, push_left=True)))
 
 
 def boundary_in_both(n: int, s) -> tuple:
@@ -99,6 +84,33 @@ class FallDownReport:
         return not self.monotone_violations and not self.boundary_match_violations
 
 
+def _fall_down_scan(what: str, n: int, push_left: bool) -> tuple:
+    """Refuse n < 1 and an n over the budget; then return the neighbour masks
+    of S_n and R_n and an iterator over every subset mask of the n x n grid,
+    in increasing order, of (mask, image, the image's boundary counts in S_n
+    and in R_n).  These are computed once per column-count tuple, 625 for n = 4."""
+    if n < 1:
+        raise ValueError(f"{what} needs n >= 1")
+    if n * n > SUBSET_BUDGET_BITS:
+        raise ResourceLimitError(f"{what} enumerates 2^{n * n} subsets, "
+                                 f"over the budget of 2^{SUBSET_BUDGET_BITS}")
+    sq_adj, tri_adj = (g.neighbor_masks for g in _grid_pair(n))
+    col_mask = _column_masks(n)
+
+    def rows():
+        memo = {}  # column counts -> (image, its boundary counts in S_n and R_n)
+        for mask in range(1 << (n * n)):
+            counts = tuple([(mask & m).bit_count() for m in col_mask])
+            hit = memo.get(counts)
+            if hit is None:
+                image = _fall_down_image(n, counts, push_left)
+                hit = memo[counts] = (image, boundary_size_mask(sq_adj, image),
+                                      boundary_size_mask(tri_adj, image))
+            yield (mask, *hit)
+
+    return sq_adj, tri_adj, rows()
+
+
 def falldown_check(n: int) -> FallDownReport:
     """Check, over all 2^(n^2) subsets, that the down-left fall-down never
     increases the boundary count (in S_n nor in R_n) and that its image has
@@ -108,19 +120,9 @@ def falldown_check(n: int) -> FallDownReport:
     R_n's on the shared indexing, so the S_n boundary is a subset of the R_n
     boundary, and the two sets are equal exactly when their sizes are.
     """
-    _check_budget("fall-down check", n * n)
-    sq, tri = _grid_pair(n)
-    sq_adj, tri_adj = sq.neighbor_masks, tri.neighbor_masks
-    mono_bad = []
-    match_bad = []
-    image_counts = {}  # image -> its boundary counts in S_n and R_n; 70 images for n = 4
-    for mask in range(1 << (n * n)):
-        image = _fall_down_mask(n, mask, push_left=True)
-        counts = image_counts.get(image)
-        if counts is None:
-            counts = image_counts[image] = (boundary_size_mask(sq_adj, image),
-                                            boundary_size_mask(tri_adj, image))
-        b_sq, b_tri = counts
+    sq_adj, tri_adj, rows = _fall_down_scan("fall-down check", n, push_left=True)
+    mono_bad, match_bad = [], []
+    for mask, _, b_sq, b_tri in rows:
         if b_sq != b_tri:
             match_bad.append(mask)
         if b_sq > boundary_size_mask(sq_adj, mask) or b_tri > boundary_size_mask(tri_adj, mask):
@@ -131,26 +133,20 @@ def falldown_check(n: int) -> FallDownReport:
 
 
 def falldown_mismatches(n: int) -> Iterator[tuple]:
-    """Yield (s, image, boundary_in_Sn, boundary_in_Rn) for every subset whose
-    down-right image (columns dropped, rows pushed right) has different
-    boundary sets in S_n and R_n.  There are some from n = 2 on: in R_2,
-    S = {0, 1, 2} maps to {0, 1, 3}, whose boundary is {0, 3} in S_2 and
-    {0, 1, 3} in R_2.  The down-left fall-down has none (falldown_check).
-    Compares boundary counts (see falldown_check) once per image, and builds
-    sets once per mismatching image."""
-    _check_budget("fall-down scan", n * n)
-    sq, tri = _grid_pair(n)
-    sq_adj, tri_adj = sq.neighbor_masks, tri.neighbor_masks
-    mismatch = {}  # image -> None, or (image, boundary_in_Sn, boundary_in_Rn) as sets
-    for mask in range(1 << (n * n)):
-        image = _fall_down_mask(n, mask, push_left=False)
-        if image not in mismatch:
-            mismatch[image] = None
-            if boundary_size_mask(sq_adj, image) != boundary_size_mask(tri_adj, image):
+    """Yield (s, image, boundary_in_Sn, boundary_in_Rn), in increasing mask
+    order, for every subset whose down-right image (columns dropped, rows
+    pushed right) has different boundary sets in S_n and R_n.  There are some
+    from n = 2 on: in R_2, S = {0, 1, 2} maps to {0, 1, 3}, whose boundary is
+    {0, 3} in S_2 and {0, 1, 3} in R_2.  The down-left fall-down has none
+    (falldown_check).  Builds the sets once per mismatching image."""
+    _, _, rows = _fall_down_scan("fall-down scan", n, push_left=False)
+    sets = {}  # mismatching image -> (image, boundary_in_Sn, boundary_in_Rn) as sets
+    for mask, image, b_sq, b_tri in rows:
+        if b_sq != b_tri:
+            if image not in sets:
                 image_set = frozenset(mask_vertices(image))
-                mismatch[image] = (image_set, *boundary_in_both(n, image_set))
-        if mismatch[image] is not None:
-            yield (frozenset(mask_vertices(mask)), *mismatch[image])
+                sets[image] = (image_set, *boundary_in_both(n, image_set))
+            yield (frozenset(mask_vertices(mask)), *sets[image])
 
 
 @dataclass(frozen=True)
@@ -330,6 +326,16 @@ def iso_profile(g: Graph) -> IsoProfile:
     return IsoProfile(best, witness)
 
 
+@lru_cache(maxsize=None)
+def _packing_order(n: int, kind: str) -> tuple:
+    """The whole canonical packing order of kind on P_n (see packing)."""
+    tri = build_triangle(n)
+    if kind == "row":
+        return tuple(tri.vertex_at(r, i) for r in range(n, 0, -1) for i in range(1, r + 1))
+    # diagonal D_t = {(r, i) : r - i = n - t}, taken bottom-up
+    return tuple(tri.vertex_at(n - t + i, i) for t in range(1, n + 1) for i in range(t, 0, -1))
+
+
 def packing(n: int, kind: str, count: int) -> frozenset:
     """The first `count` vertices of the canonical packing order on P_n.
 
@@ -342,18 +348,7 @@ def packing(n: int, kind: str, count: int) -> frozenset:
     total = triangular(n)
     if not (0 <= count <= total):
         raise ValueError(f"packing size must be in 0..{total}")
-    tri = build_triangle(n)
-    order = []
-    if kind == "row":
-        for r in range(n, 0, -1):
-            for i in range(1, r + 1):
-                order.append(tri.vertex_at(r, i))
-    else:
-        for t in range(1, n + 1):
-            # diagonal D_t = {(r, i) : r - i = n - t}, taken bottom-up
-            for i in range(t, 0, -1):
-                order.append(tri.vertex_at(n - t + i, i))
-    return frozenset(order[:count])
+    return frozenset(_packing_order(n, kind)[:count])
 
 
 @dataclass(frozen=True)

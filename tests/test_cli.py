@@ -341,6 +341,14 @@ def test_isoperimetry_falldown_witness(capsys):
     assert capsys.readouterr().out == "none\n"
 
 
+@pytest.mark.parametrize("cmd", ["falldown-check", "falldown-witness"])
+@pytest.mark.parametrize("n", ["0", "-3", "-5"])
+def test_isoperimetry_falldown_refuses_n_below_1(capsys, cmd, n):
+    assert main(["isoperimetry", cmd, "-n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "fall-down" in captured.err and "n >= 1" in captured.err
+
+
 def test_isoperimetry_profile(tmp_path, capsys):
     p3 = tmp_path / "p3.txt"
     main(["graph", "triangle", "-n", "3", "-o", str(p3)])

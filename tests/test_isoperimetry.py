@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 from fractions import Fraction
 from pathlib import Path
@@ -78,6 +80,120 @@ def test_falldown_down_right_witness_n2():
 
 def test_falldown_down_right_witness_exists_n4():
     assert next(falldown_mismatches(4), None) is not None
+
+
+def two_phase_fall_down(n, s, push_left=True):
+    """The fall-down as defined: drop each column of s to the bottom, then
+    push each row to the left (or to the right)."""
+    cells = {(v // n + 1, v % n + 1) for v in s}
+    dropped = set()
+    for c in range(1, n + 1):
+        height = sum(1 for _, col in cells if col == c)
+        dropped |= {(r, c) for r in range(1, height + 1)}
+    out = set()
+    for r in range(1, n + 1):
+        width = sum(1 for row, _ in dropped if row == r)
+        cols = range(1, width + 1) if push_left else range(n - width + 1, n + 1)
+        out |= {(r, c) for c in cols}
+    return coords_set(n, out)
+
+
+def subsets(n):
+    return [frozenset(v for v in range(n * n) if mask >> v & 1) for mask in range(1 << (n * n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fall_down_images_match_the_two_phase_definition(n):
+    """Every subset for n <= 3: fall_down is the down-left image, and the
+    mismatch stream is every subset, in mask order, whose down-right image
+    has different boundaries in S_n and R_n."""
+    want = []
+    for s in subsets(n):
+        assert fall_down(n, s) == two_phase_fall_down(n, s)
+        image = two_phase_fall_down(n, s, push_left=False)
+        b_sq, b_tri = boundary_in_both(n, image)
+        if b_sq != b_tri:
+            want.append((s, image, b_sq, b_tri))
+    assert list(falldown_mismatches(n)) == want
+
+
+@functools.lru_cache(maxsize=None)
+def mismatch_images(n):
+    return {s: image for s, image, _, _ in falldown_mismatches(n)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([4, 5]).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, 2 ** (n * n) - 1))))
+def test_fall_down_images_match_the_two_phase_definition_n4_n5(case):
+    n, mask = case
+    s = frozenset(v for v in range(n * n) if mask >> v & 1)
+    assert fall_down(n, s) == two_phase_fall_down(n, s)
+    if n == 4:
+        image = two_phase_fall_down(n, s, push_left=False)
+        b_sq, b_tri = boundary_in_both(n, image)
+        assert mismatch_images(n).get(s) == (image if b_sq != b_tri else None)
+
+
+def digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+def report_digest(report):
+    return digest([report.subsets_checked,
+                   [sorted(s) for s in report.monotone_violations],
+                   [sorted(s) for s in report.boundary_match_violations]])
+
+
+@pytest.mark.parametrize("n, mismatches, images, check_sha, stream_sha", [
+    (1, 0, 0, "5c5d81fd368ef67761cfc60d04577bfdbdf571dd45819daa3349912bab8f3f53",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (2, 4, 1, "074e94773d70202c32c4facd4f0e7c11c24fa29157b3cfccd17590ae6f740be9",
+     "7ec01bbfeac56f8b65f73133dfc993d09a3f06bf415a640e749f71313d92bd08"),
+    (3, 378, 10, "2e3eb6f2a749e71e57210fd68d9c6266eaffb0be5f3ea37e6d86d851aeeaef15",
+     "eb7e621330b10e44accfd09d6a908cddebf021a362b57eca7ff65e56cb4a93b5"),
+    (4, 61872, 53, "cc333f935f19a16b56eb6e32b10f66959f3efdcaf7b6d06c8224c561d0a5b5fb",
+     "6da48a410dbbe3b88467fc53b1d7e52885815b24bcb671b8dbb0397d103f89b4"),
+])
+def test_falldown_outputs_are_pinned(n, mismatches, images, check_sha, stream_sha):
+    """sha256 of falldown_check(n) and of the whole falldown_mismatches(n)
+    stream, in order, for n = 1-4."""
+    assert report_digest(falldown_check(n)) == check_sha
+    stream = list(falldown_mismatches(n))
+    assert (len(stream), len({image for _, image, _, _ in stream})) == (mismatches, images)
+    assert digest([sorted(x) for x in row] for row in stream) == stream_sha
+
+
+@pytest.mark.parametrize("n, monotone, match, sha", [
+    (2, 2, 4, "5c546aea5d81c0008100e7f2ec2586344462ba78be3d30b2bd8144e35557ea2f"),
+    (3, 34, 378, "83ad4eea769d2e9021eb6b5df83232126117ce0a918bf42c4a1aa2685dc711e1"),
+    (4, 739, 61872, "289a1d9773d37dab2c3a249111c19cd3a3193e092f32556e780d006ee45b86e3"),
+])
+def test_falldown_check_reports_the_down_right_violations(monkeypatch, n, monotone, match, sha):
+    """With the down-right image forced in, falldown_check lists violations:
+    every down-right mismatch, and the subsets whose image gained boundary."""
+    image = isoperimetry._fall_down_image
+    monkeypatch.setattr(isoperimetry, "_fall_down_image",
+                        lambda n, counts, push_left: image(n, counts, False))
+    report = falldown_check(n)
+    assert not report.ok
+    assert (len(report.monotone_violations), len(report.boundary_match_violations)) == \
+        (monotone, match)
+    assert report_digest(report) == sha
+    assert report.boundary_match_violations == tuple(s for s, *_ in falldown_mismatches(n))
+
+
+@pytest.mark.parametrize("n", [0, -3, -5])
+def test_fall_down_refuses_n_below_1(n):
+    with pytest.raises(ValueError, match="fall-down needs n >= 1"):
+        fall_down(n, {0, 1})
+    with pytest.raises(ValueError, match="fall-down check needs n >= 1"):
+        falldown_check(n)
+    with pytest.raises(ValueError, match="fall-down scan needs n >= 1"):
+        next(falldown_mismatches(n))
 
 
 def test_falldown_limits():
