@@ -12,13 +12,13 @@ from lionsweep.strategies import caffeinated_wall_moves, wall_positions
 
 
 def render(g, n, l, state):
-    lions = set(state.lions)
+    lions, cleared = set(state.lions), set(state.cleared)
     lines = []
     for r in range(n, 0, -1):
         cells = []
         for c in range(1, l + 1):
             v = g.vertex_at(r, c)
-            cells.append("L" if v in lions else "#" if v in state.cleared else ".")
+            cells.append("L" if v in lions else "#" if v in cleared else ".")
         lines.append(" ".join(cells))
     return "\n".join(lines)
 
@@ -45,7 +45,7 @@ def main():
     for state in trace.states:
         tag = " (formation)" if 0 < state.time <= plan.formation_steps else ""
         print(f"t={state.time}{tag}\n{render(g, n, l, state)}\n")
-    swept = trace.final().cleared == frozenset(range(g.n))
+    swept = trace.final().cleared == tuple(range(g.n))
     print("swept" if swept else "NOT swept")
 
 

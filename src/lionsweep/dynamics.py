@@ -31,14 +31,17 @@ cleared vertex in each state reachable from initial_state(), as Occ' is
 cleared; exposure() still skips a lion on a contaminated vertex, which the
 rule never clears unless a lion ends the step there.
 
-run() and verify carry the cleared set over from one record to the next:
-only the step's symmetric difference C(t) ^ C(t+1) is converted between mask
-and vertex set, and one set or mask operation flips it.  k lions add at most
-k vertices a step, and on the sweeps and walls of R_{n,l} a step loses few,
-so a record costs O(|C(t) ^ C(t+1)|) Python work plus one O(|C|) operation
-in C, not a Python loop over C.  step() is that fold over one move: it
-converts the whole set in, as SimState holds a frozenset, and only the
-difference out.
+A record holds its cleared set as the strictly increasing tuple of its
+vertices, the order write_trace writes and read_trace checks: one pointer a
+vertex, where a frozenset's hash table costs several.  run() and verify
+carry the cleared set over from one record to the next: only the step's
+symmetric difference C(t) ^ C(t+1) is converted between mask and vertex
+set, and one set or mask operation flips it.  k lions add at most k
+vertices a step, and on the sweeps and walls of R_{n,l} a step loses few,
+so a record costs O(|C(t) ^ C(t+1)|) Python work plus a few O(|C|)
+operations in C (run() sorts its running set into the record's tuple), not
+a Python loop over C.  step() is that fold over one move: it converts the
+whole tuple in and only the difference out.
 
 The search calls exposure() once per state and never step_cleared_mask():
 it reads every successor of a state off the frame in one batch (see
@@ -47,6 +50,7 @@ search._successor_keys), and its tests hold each batch to this kernel.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -62,11 +66,12 @@ MoveStep = tuple  # one entry per lion: STAY or the target vertex
 
 @dataclass(frozen=True)
 class SimState:
-    """Full Markov state of the game: time, lion positions, cleared set."""
+    """Full Markov state of the game: time, lion positions, and the cleared
+    set as the strictly increasing tuple of its vertices."""
 
     time: int
     lions: tuple
-    cleared: frozenset
+    cleared: tuple
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ class Trace:
 def initial_state(g: Graph, lions: Sequence) -> SimState:
     """Time-0 state: exactly the occupied vertices are cleared."""
     check_vertices(g, lions)
-    return SimState(0, tuple(lions), frozenset(lions))
+    return SimState(0, tuple(lions), tuple(sorted(set(lions))))
 
 
 class InvalidMoveError(ValueError):
@@ -189,20 +194,21 @@ def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
 
 def _fold(g: Graph, model: str, state: SimState, moves: Iterable) -> Iterator[SimState]:
     """The records after state, one per move step (a tuple), on one cleared
-    mask. Each step is validated against the model, and each record's cleared
-    set is the previous record's with the vertices of the step's mask
-    difference flipped, so a step converts the few vertices that changed, not
-    all of C."""
+    mask and one running set of its vertices. Each step is validated against
+    the model, and the vertices of the step's mask difference are flipped in
+    the running set, so a step converts the few vertices that changed, not
+    all of C; each record's tuple is that set sorted."""
     adj_masks = g.neighbor_masks
     cleared = vertex_mask(state.cleared, g.n)
+    members = set(state.cleared)
     for mv in moves:
         violations = validate_moves(g, model, state, mv)
         if violations:
             raise InvalidMoveError(state.time, violations)
         positions, new = _advance(exposure(adj_masks, state.lions, cleared), state.lions, mv)
-        state = SimState(state.time + 1, positions,
-                         state.cleared ^ frozenset(mask_vertices(cleared ^ new)))
+        members.symmetric_difference_update(mask_vertices(cleared ^ new))
         cleared = new
+        state = SimState(state.time + 1, positions, tuple(sorted(members)))
         yield state
 
 
@@ -213,9 +219,12 @@ def is_swept(tr: Trace, g: Graph) -> Optional[int]:
 
 def is_monotone(tr: Trace) -> bool:
     """True iff the cleared set never loses a vertex along the trace."""
-    for a, b in zip(tr.states, tr.states[1:]):
-        if not a.cleared <= b.cleared:
+    before = set(tr.states[0].cleared)
+    for s in tr.states[1:]:
+        after = set(s.cleared)
+        if not before <= after:
             return False
+        before = after
     return True
 
 
@@ -243,14 +252,16 @@ def write_trace(tr: Trace, path) -> None:
         for i, s in enumerate(tr.states):
             move = f"[{join(map(text, tr.moves[i - 1]))}]" if i else "null"
             fh.write(f'{{"t": {s.time}, "lions": [{join(map(text, s.lions))}], '
-                     f'"cleared": [{join(map(text, sorted(s.cleared)))}], "move": {move}}}\n')
+                     f'"cleared": [{join(map(text, s.cleared))}], "move": {move}}}\n')
 
 
 def read_trace(path) -> Trace:
     """Read a write_trace file; t must be an integer and lions, cleared and
-    move lists of integers (JSON true and false are not). Record i has t=i,
-    the t=0 record alone has a null move, and the lion count and the length
-    of every later move equal the first record's lion count."""
+    move lists of integers (JSON true and false are not), cleared strictly
+    increasing. Record i has t=i, the t=0 record alone has a null move, and
+    the lion count and the length of every later move equal the first
+    record's lion count. Vertices are not range-checked: that needs the
+    graph, and verify_lemma_bounds does it."""
     states = []
     moves = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -267,6 +278,8 @@ def read_trace(path) -> Trace:
                     and (move is None or _is_int_list(move))):
                 raise ParseError("trace record lions, cleared and move must be lists of integers",
                                  lineno)
+            if not all(map(operator.lt, cleared, cleared[1:])):
+                raise ParseError("trace record cleared must be strictly increasing", lineno)
             if type(t) is not int or t != len(states):
                 raise ParseError(f"trace record t={t!r} should be t={len(states)}", lineno)
             if (move is None) != (not states):
@@ -277,7 +290,7 @@ def read_trace(path) -> Trace:
                     raise ParseError(f"trace record has {len(lions)} lions and a move for "
                                      f"{len(move)}, the first record has {k} lions", lineno)
                 moves.append(tuple(move))
-            states.append(SimState(t, tuple(lions), frozenset(cleared)))
+            states.append(SimState(t, tuple(lions), tuple(cleared)))
     if not states:
         raise ParseError("trace has no records", 1)
     return Trace(tuple(states), tuple(moves))

@@ -374,9 +374,11 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
 
     Record 0's cleared set becomes a mask in full; each later mask is the
     previous one with the two records' symmetric difference flipped, a few
-    vertices a step (at most k gained). vertex_mask range-checks each vertex
-    where it first enters a record, before it becomes a bit, so a forged
-    vertex such as 10**12 raises ValueError without a huge mask.
+    vertices a step (at most k gained), read off one running set of the
+    previous record's vertices, so each record's tuple is hashed once.
+    vertex_mask range-checks each vertex where it first enters a record,
+    before it becomes a bit, so a forged vertex such as 10**12 raises
+    ValueError without a huge mask.
     """
     if model not in dynamics.MODELS:  # validate_moves checks it only on a replayed move
         raise ValueError(f"unknown motion model {model!r}")
@@ -387,8 +389,11 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
     replaying = states[0].cleared == start.cleared
     violations = [] if replaying else [(states[0].time, "replay", "cleared set is not the lions'")]
     cleared = vertex_mask(states[0].cleared, g.n)
+    members = set(states[0].cleared)
     for mv, a, b in zip(trace.moves, states, states[1:]):
-        next_cleared = cleared ^ vertex_mask(a.cleared ^ b.cleared, g.n)
+        flipped = members.symmetric_difference(b.cleared)
+        members ^= flipped
+        next_cleared = cleared ^ vertex_mask(flipped, g.n)
         growth = next_cleared.bit_count() - cleared.bit_count()
         frame = exposure(g.neighbor_masks, a.lions, cleared)
         if growth > k:
@@ -406,7 +411,7 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
                 if positions != b.lions:
                     detail = f"lions {list(b.lions)}, replay gives {list(positions)}"
                 elif replayed != next_cleared:
-                    detail = f"cleared {sorted(b.cleared)}, " \
+                    detail = f"cleared {list(b.cleared)}, " \
                              f"replay gives {list(mask_vertices(replayed))}"
                 else:
                     detail = ""

@@ -61,7 +61,7 @@ def test_criterion_02_caffeinated_wall_sufficiency():
             for mv in plan.moves:
                 assert validate_moves(g, "caffeinated", state, mv) == [], (n, l)
                 state = step(g, state, mv)
-            assert state.cleared == frozenset(range(g.n)), (n, l)
+            assert state.cleared == tuple(range(g.n)), (n, l)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     _passed(2, "floor(3n/2) caffeinated lions sweep R_{n,l}", elapsed)
@@ -75,7 +75,7 @@ def test_criterion_03_naive_caffeinated_column_fails():
             moves = naive_column_sweep_moves(n, l, 4 * n * l)
             tr = run(g, "caffeinated", starts, moves)
             assert is_swept(tr, g) is None, (n, l)
-            recontaminated = any(not a.cleared <= b.cleared
+            recontaminated = any(not set(a.cleared) <= set(b.cleared)
                                  for a, b in zip(tr.states, tr.states[1:]))
             assert recontaminated, (n, l)
     _passed(3, "naive caffeinated column never sweeps and recontaminates")

@@ -229,6 +229,20 @@ def test_verify_rejects_a_later_cleared_vertex_off_the_graph(tmp_path, capsys, v
     assert f"vertex {vertex} not in graph with 4 vertices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cleared", [[1, 0], [0, 0]])
+def test_verify_refuses_a_cleared_list_not_strictly_increasing(tmp_path, capsys, cleared):
+    """A record's cleared list must be strictly increasing: unsorted or with a
+    repeat, the trace is refused at that line with exit 2."""
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    trace = tmp_path / "forged.jsonl"
+    _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
+                           {"t": 1, "lions": [1], "cleared": cleared, "move": [1]}])
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+    assert "line 2: trace record cleared must be strictly increasing" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit", ["drop", "add"])
 def test_verify_reports_one_vertex_edited_mid_sweep(tmp_path, capsys, edit):
     """On the R_{14,48} row-sweep trace, one cleared vertex dropped from or

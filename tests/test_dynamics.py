@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,13 +26,13 @@ PATH2 = make_graph(2, [(0, 1)])
 def test_initial_state():
     one = make_graph(1, [])
     st0 = initial_state(one, (0,))
-    assert st0.cleared == frozenset({0})
+    assert st0.cleared == (0,)
 
     r3 = build_tri_lattice(3, 3)
     col = tuple(r3.vertex_at(r, 1) for r in (1, 2, 3))
     assert len(initial_state(r3, col).cleared) == 3
 
-    assert initial_state(r3, ()).cleared == frozenset()
+    assert initial_state(r3, ()).cleared == ()
     with pytest.raises(ValueError):
         initial_state(r3, (99,))
 
@@ -62,13 +63,13 @@ def test_validate_moves_names_the_step_of_a_short_move():
 def test_step_vacated_vertex_recontaminates():
     # lion walks b->a on the path a-b-c: b is lost to c, a is gained
     st1 = step(PATH3, initial_state(PATH3, (1,)), (0,))
-    assert st1.cleared == frozenset({0})
+    assert st1.cleared == (0,)
 
 
 def test_step_crossing_blocks_recontamination():
     # lion walks a->b on the path a-b: crossing ab blocks it; swept by 1 lion
     st1 = step(PATH2, initial_state(PATH2, (0,)), (1,))
-    assert st1.cleared == frozenset({0, 1})
+    assert st1.cleared == (0, 1)
 
 
 def test_step_caffeinated_column_leaks_on_diagonal():
@@ -77,7 +78,7 @@ def test_step_caffeinated_column_leaks_on_diagonal():
     col = tuple(g.vertex_at(r, 1) for r in (1, 2, 3))
     st0 = initial_state(g, col)
     st1 = step(g, st0, tuple(g.vertex_at(r, 2) for r in (1, 2, 3)))
-    lost = st0.cleared - st1.cleared
+    lost = set(st0.cleared) - set(st1.cleared)
     assert lost  # at least one just-vacated vertex recontaminated
     for v in lost:
         r, c = g.coord_of(v)
@@ -88,7 +89,7 @@ def test_step_swap_blocks_edge():
     st0 = initial_state(PATH2, (0, 1))
     st1 = step(PATH2, st0, (1, 0))
     assert st1.lions == (1, 0)
-    assert st1.cleared == frozenset({0, 1})
+    assert st1.cleared == (0, 1)
 
 
 def test_step_rejects_non_adjacent():
@@ -140,14 +141,15 @@ def test_update_is_monotone_in_cleared(mask_a, mask_extra, seed):
     small = frozenset(v for v in range(9) if mask_a >> v & 1) | occupied
     large = small | frozenset(v for v in range(9) if mask_extra >> v & 1)
     from lionsweep.dynamics import SimState
-    out_small = step(g, SimState(0, lions, small), mv)
-    out_large = step(g, SimState(0, lions, large), mv)
-    assert out_small.cleared <= out_large.cleared
+    out_small = step(g, SimState(0, lions, tuple(sorted(small))), mv)
+    out_large = step(g, SimState(0, lions, tuple(sorted(large))), mv)
+    assert set(out_small.cleared) <= set(out_large.cleared)
 
 
 def reference_cleared_update(g, cleared, positions, targets):
     """Direct transliteration of the recontamination rule, kept independent
     of the bitmask implementation the package uses."""
+    cleared = frozenset(cleared)  # a state's cleared tuple, looked up per neighbour
     occupied_after = {p if t == STAY else t for p, t in zip(positions, targets)}
     blocked = {frozenset((p, t)) for p, t in zip(positions, targets)
                if t != STAY and t != p}
@@ -173,7 +175,7 @@ def test_step_matches_reference_rule(rng):
             mv = tuple(rng.choice([STAY] + sorted(g.adj[p])) for p in state.lions)
             expected = reference_cleared_update(g, state.cleared, state.lions, mv)
             state = step(g, state, mv)
-            assert state.cleared == expected
+            assert state.cleared == tuple(sorted(expected))
 
 
 def draw_move(pick, g, model, positions) -> tuple:
@@ -274,7 +276,7 @@ def assert_run_is_the_fold_of_step_and_of_the_reference_rule(g, model, lions, mo
         expected = reference_cleared_update(g, state.cleared, state.lions, mv)
         state = step(g, state, mv)
         assert state.lions == tuple(p if t == STAY else t for p, t in zip(states[-1].lions, mv))
-        assert state.cleared == expected
+        assert state.cleared == tuple(sorted(expected))
         states.append(state)
     tr = run(g, model, lions, moves)
     assert tr.states == tuple(states)
@@ -313,8 +315,8 @@ def test_run_folds_the_largest_sweep_and_a_step_that_loses_a_column():
     moves.append(tuple(g.vertex_at(r, 23) for r in range(1, 15)))
     assert_run_is_the_fold_of_step_and_of_the_reference_rule(g, "free", starts, moves)
     *_, before, after = run(g, "free", starts, moves).states
-    assert before.cleared - after.cleared == {g.vertex_at(r, 24) for r in range(1, 15)}
-    assert after.cleared < before.cleared
+    assert set(before.cleared) - set(after.cleared) == {g.vertex_at(r, 24) for r in range(1, 15)}
+    assert set(after.cleared) < set(before.cleared)
     tr = run(g, "free", starts, plan.moves)
     assert [len(s.cleared) for s in tr.states[plan.formation_steps:]] == list(range(14, 673))
 
@@ -333,7 +335,7 @@ def test_lemma_bounds_on_random_traces(rng):
             assert growth <= k
             if len(boundary(g, state.cleared)) >= 2 * k and k > 0:
                 assert growth <= 0
-            assert frozenset(nxt.lions) <= nxt.cleared
+            assert set(nxt.lions) <= set(nxt.cleared)
             state = nxt
 
 
@@ -371,7 +373,8 @@ def test_trace_serialization_round_trip(tmp_path):
                                           ("lions", ["a", 0]), ("cleared", ["x"]),
                                           ("lions", [True, 0]), ("cleared", [False]),
                                           ("move", [False, STAY]), ("move", None),
-                                          ("move", [1])])
+                                          ("move", [1]), ("cleared", [1, 0]),
+                                          ("cleared", [0, 0])])
 def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
     g = build_tri_lattice(2, 3)
     tr = run(g, "free", (0, 3), [(1, STAY), (2, 4)])
@@ -381,7 +384,8 @@ def test_read_trace_rejects_inconsistent_records(tmp_path, field, value):
     rec = json.loads(lines[2])
     rec[field] = value  # t no longer follows t=1, a lion vanished, not integer lists
     # (json reads true and false as bools, which isinstance counts as integers),
-    # a null move after t=0, or a move for one of the two lions
+    # a null move after t=0, a move for one of the two lions, or a cleared list
+    # that is not strictly increasing
     lines[2] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError) as err:
@@ -446,20 +450,25 @@ def assert_written_as_json(tr) -> None:
 
 
 @st.composite
-def small_graph_traces(draw):
-    """A run trace on a small_graphs graph under a drawn model: up to 3 lions,
-    none on the empty graph, and up to 8 valid steps, STAY included. Free
-    lions may stand on isolated vertices; caffeinated and polite lions stand
-    where they can move."""
+def small_graph_runs(draw, models=MODELS):
+    """run's arguments (g, model, lions, moves) on a small_graphs graph under
+    a model drawn from models: up to 3 lions, none on the empty graph, and up
+    to 8 valid steps, STAY included. Free lions may stand on isolated
+    vertices; caffeinated and polite lions stand where they can move."""
     g = draw(small_graphs())
-    model = draw(st.sampled_from(MODELS))
+    model = draw(st.sampled_from(models))
     spots = [v for v in range(g.n) if model == "free" or g.adj[v]]
     lions = tuple(draw(st.lists(st.sampled_from(spots), max_size=3))) if spots else ()
     positions, moves = lions, []
     for _ in range(draw(st.integers(0, 8))):
         moves.append(draw_move(sampled(draw), g, model, positions))
         positions = tuple(p if t == STAY else t for p, t in zip(positions, moves[-1]))
-    return run(g, model, lions, moves)
+    return g, model, lions, moves
+
+
+def small_graph_traces():
+    """The run trace of a small_graph_runs case."""
+    return small_graph_runs().map(lambda case: run(*case))
 
 
 PATH150 = make_graph(150, [(v, v + 1) for v in range(149)])
@@ -478,6 +487,31 @@ def test_trace_and_moves_files_are_their_json_rendering(tr):
     assert_written_as_json(tr)
 
 
+@pytest.mark.parametrize("model", MODELS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_cleared_set_is_the_increasing_tuple_of_the_reference_rule(model, data):
+    """Every state from initial_state, step, run and read_trace of write_trace
+    holds its cleared set as the strictly increasing tuple of the set the
+    reference rule folds to."""
+    g, model, lions, moves = data.draw(small_graph_runs((model,)))
+    expected, positions = [frozenset(lions)], lions
+    for mv in moves:
+        expected.append(reference_cleared_update(g, expected[-1], positions, mv))
+        positions = tuple(p if t == STAY else t for p, t in zip(positions, mv))
+    stepped = [initial_state(g, lions)]
+    for mv in moves:
+        stepped.append(step(g, stepped[-1], mv))
+    tr = run(g, model, lions, moves)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(tr, Path(tmp) / "trace.jsonl")
+        back = read_trace(Path(tmp) / "trace.jsonl")
+    want = [tuple(sorted(c)) for c in expected]
+    for states in (stepped, tr.states, back.states):
+        assert [s.cleared for s in states] == want
+        assert all(type(s.cleared) is tuple for s in states)
+
+
 def test_largest_sweep_trace_is_its_json_rendering(tmp_path):
     """The R_{14,48} row-sweep trace, 1,317 records of up to 672 vertices."""
     g, starts, plan = row_sweep_14_48()
@@ -486,3 +520,29 @@ def test_largest_sweep_trace_is_its_json_rendering(tmp_path):
     write_trace(tr, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == hashlib.sha256(json_trace_bytes(tr)).hexdigest())
+
+
+def _held_by(build):
+    """build()'s result and the bytes tracemalloc counts as allocated by it and still held."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_largest_sweep_trace_memory(tmp_path):
+    """A record holds its cleared set as a tuple, which shares run's int
+    objects across records: on the R_{14,48} row sweep (235,249 cleared
+    vertices in all) run's trace holds under 4 MiB and read_trace's under
+    8 MiB, where a frozenset per record held 14.4 and 18.4 MiB."""
+    g, starts, plan = row_sweep_14_48()
+    g.neighbor_masks  # built once per graph; not part of the trace
+    tr, held = _held_by(lambda: run(g, "free", starts, plan.moves))
+    assert held < 4 * 2 ** 20
+    path = tmp_path / "trace.jsonl"
+    write_trace(tr, path)
+    back, held = _held_by(lambda: read_trace(path))
+    assert held < 8 * 2 ** 20
+    assert back == tr

@@ -64,7 +64,7 @@ def test_witness_replays_with_model_validation():
         tr = verdict.trace
         start = tr.states[0].lions
         replay = run(R2, model, start, tr.moves)  # run() re-validates every step
-        assert replay.states[-1].cleared == frozenset(range(R2.n))
+        assert replay.states[-1].cleared == tuple(range(R2.n))
 
 
 R4 = build_tri_lattice(4, 4)
@@ -489,13 +489,14 @@ def test_run_and_verify_convert_only_each_step_difference(monkeypatch):
     monkeypatch.setattr(search, "vertex_mask", counted_vertex_mask)
     tr = run(g, "free", starts, plan.moves)
     assert verify_lemma_bounds(g, tr).ok
-    differences = sum(len(a.cleared ^ b.cleared) for a, b in zip(tr.states, tr.states[1:]))
+    differences = sum(len(set(a.cleared) ^ set(b.cleared))
+                      for a, b in zip(tr.states, tr.states[1:]))
     assert converted == {"run": differences, "verify": len(starts) + differences}
     assert differences * 50 < sum(len(s.cleared) for s in tr.states)
     a, b = tr.states[1000], tr.states[1001]
     converted["run"] = 0
     assert step(g, a, tr.moves[1000]) == b
-    assert 0 < converted["run"] == len(a.cleared ^ b.cleared) < len(b.cleared) // 50
+    assert 0 < converted["run"] == len(set(a.cleared) ^ set(b.cleared)) < len(b.cleared) // 50
 
 
 def test_verify_lemma_bounds_flags_corrupted_trace():
@@ -503,7 +504,7 @@ def test_verify_lemma_bounds_flags_corrupted_trace():
     tr = verdict.trace
     # inflate one cleared set by hand: growth must exceed k
     states = list(tr.states)
-    states[1] = SimState(states[1].time, states[1].lions, frozenset(range(R2.n)))
+    states[1] = SimState(states[1].time, states[1].lions, tuple(range(R2.n)))
     bad = Trace(tuple(states), tr.moves)
     report = verify_lemma_bounds(R2, bad)
     assert not report.ok
@@ -530,7 +531,7 @@ def test_verify_boundary_stall_times_on_forged_traces(seed, model):
     g = random_connected_graph(rng, 2, 10)
     k = rng.randint(1, 3)
     states = [SimState(t, tuple(rng.randrange(g.n) for _ in range(k)),
-                       frozenset(v for v in range(g.n) if rng.random() < 0.5))
+                       tuple(v for v in range(g.n) if rng.random() < 0.5))
               for t in range(rng.randint(1, 8))]
     moves = tuple(tuple(rng.choice([STAY] + list(g.adj[p])) for p in a.lions) for a in states[1:])
     report = verify_lemma_bounds(g, Trace(tuple(states), moves), model)
@@ -570,7 +571,8 @@ def test_verify_replay_reports_the_forged_record(seed, flip_lion):
         forged = _replace_state(tr, t, lions=tuple(moved))
     else:
         t = rng.randint(0, len(moves))
-        forged = _replace_state(tr, t, cleared=tr.states[t].cleared ^ {rng.randrange(g.n)})
+        flipped = set(tr.states[t].cleared) ^ {rng.randrange(g.n)}
+        forged = _replace_state(tr, t, cleared=tuple(sorted(flipped)))
     report = verify_lemma_bounds(g, forged)
     assert [vt for vt, lemma, _ in report.violations if lemma == "replay"] == [t]
 
