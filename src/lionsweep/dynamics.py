@@ -312,6 +312,11 @@ def write_moves(moves: Iterable, path) -> None:
 
 
 def read_moves(path) -> list:
+    """Read a move file as a list of tuples: one JSON list of integers per
+    line, STAY being -1.  Blank lines and lines whose first non-blank
+    character is '#' are skipped; JSON true and false are refused.  A bad
+    line raises ParseError with its 1-based line number.  Moves are not
+    checked against a graph: validate_moves does that."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

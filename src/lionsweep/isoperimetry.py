@@ -64,13 +64,6 @@ def fall_down(n: int, s) -> frozenset:
     return frozenset(mask_vertices(_fall_down_image(n, counts, push_left=True)))
 
 
-def boundary_in_both(n: int, s) -> tuple:
-    """The boundary of s computed in S_n and in R_n, as a pair of sets."""
-    sq, tri = _grid_pair(n)
-    fs = frozenset(s)
-    return boundary(sq, fs), boundary(tri, fs)
-
-
 @dataclass(frozen=True)
 class FallDownReport:
     """Exhaustive check of the two fall-down lemmas over every subset."""
@@ -140,12 +133,13 @@ def falldown_mismatches(n: int) -> Iterator[tuple]:
     {0, 3} in S_2 and {0, 1, 3} in R_2.  The down-left fall-down has none
     (falldown_check).  Builds the sets once per mismatching image."""
     _, _, rows = _fall_down_scan("fall-down scan", n, push_left=False)
+    sq, tri = _grid_pair(n)
     sets = {}  # mismatching image -> (image, boundary_in_Sn, boundary_in_Rn) as sets
     for mask, image, b_sq, b_tri in rows:
         if b_sq != b_tri:
             if image not in sets:
                 image_set = frozenset(mask_vertices(image))
-                sets[image] = (image_set, *boundary_in_both(n, image_set))
+                sets[image] = (image_set, boundary(sq, image_set), boundary(tri, image_set))
             yield (frozenset(mask_vertices(mask)), *sets[image])
 
 

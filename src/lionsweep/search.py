@@ -62,7 +62,6 @@ class SearchVerdict:
     trace: Optional[Trace] = None
     states_explored: int = 0
     peak_frontier: int = 0
-    detail: str = ""
 
 
 def _start_tuples(g: Graph, k: int, model: str, starts) -> list:
@@ -308,8 +307,7 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
                     continue
                 antichains[pc] = [m for m in keys if m | new_key != new_key] + [new_key]
             if admitted >= max_states:
-                return SearchVerdict("unknown", None, admitted, peak,
-                                     f"state limit {max_states} reached")
+                return SearchVerdict("unknown", None, admitted, peak)
             admitted += 1
             frontier.append(new_key)
 

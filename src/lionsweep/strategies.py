@@ -11,8 +11,8 @@ Every walk is read off the tables of one breadth-first search per lion over
 (vertex, parity) states.  A walk of length d has parity d % 2, so the search
 runs level by level over plain vertex lists, and a planner stops it after the
 level that reaches its target at both parities: every entry on a walk to the
-target is final by then.  parity_distances is the same search run to
-exhaustion, as are the planners' searches when the target misses a parity.
+target is final by then; when the target misses a parity the search runs to
+exhaustion.
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ class MovePlan:
     formation_steps: int
 
 
-def parity_distances(g: Graph, u: int):
-    """Shortest even- and odd-length walk distances from u to every vertex.
+def _parity_bfs(g: Graph, u: int, target):
+    """Shortest even- and odd-length walk distances from u.
 
     Returns (dist, parent) where dist[p][v] is the least length of a u-v walk
     of parity p (None if no such walk) and parent[p][v] is the vertex before
@@ -43,15 +43,10 @@ def parity_distances(g: Graph, u: int):
     the empty walk at u and where dist[p][v] is None).  The search runs level
     by level: level d holds the vertices first reached by a walk of length d,
     all of parity d % 2, in the order they were found.  Neighbors are visited
-    in Graph.adj's increasing order, so the walks are deterministic.
-    """
-    return _parity_bfs(g, u, None)
-
-
-def _parity_bfs(g: Graph, u: int, target):
-    """parity_distances' search, stopped after the level that reaches target
-    at both parities; entries set by then are the full tables' entries.  With
-    target None, or a target missing a parity, the search runs to exhaustion.
+    in Graph.adj's increasing order, so the walks are deterministic.  It stops
+    after the level that reaches target at both parities; entries set by then
+    are the full tables' entries.  With target None, or a target missing a
+    parity, the search runs to exhaustion.
     """
     adj = g.adj
     dist = [[None] * g.n, [None] * g.n]

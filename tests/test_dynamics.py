@@ -424,6 +424,20 @@ def test_read_moves_rejects_booleans(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("bad", ["[1, 2", "{\"t\": 0}", "[1, 2.5]"])
+def test_read_moves_skips_blank_and_comment_lines(tmp_path, bad):
+    """Blank and '#' lines are skipped but still counted, so a malformed line
+    after them is reported with its own line number."""
+    path = tmp_path / "moves.txt"
+    good = "# moves\n\n[1, -1]\n   \n  # indented comment\n[2, 3]\n"
+    path.write_text(good)
+    assert read_moves(path) == [(1, STAY), (2, 3)]
+    path.write_text(f"{good}\n{bad}\n")
+    with pytest.raises(ParseError) as err:
+        read_moves(path)
+    assert err.value.line == 8
+
+
 def json_trace_bytes(tr) -> bytes:
     """A trace rendered record by record with json.dumps, the layout write_trace keeps."""
     return "".join(json.dumps({"t": s.time, "lions": list(s.lions), "cleared": sorted(s.cleared),

@@ -1,5 +1,6 @@
 """The library's public names and the fields of its public dataclasses."""
 import dataclasses
+import inspect
 
 import lionsweep
 
@@ -11,14 +12,14 @@ PINNED_SURFACE = {
         "LemmaReport", "MinLionsResult", "SearchLimits", "SearchVerdict",
         "InvalidMoveError", "InfeasibleWalkError", "ParseError",
         "ResourceLimitError", "WalkParityError", "WalkTooShortError",
-        "boundary", "boundary_in_both", "build_circulant", "build_square_grid",
+        "boundary", "build_circulant", "build_square_grid",
         "build_tri_lattice", "build_triangle", "caffeinated_wall_moves",
         "can_clear", "cheeger_constant", "column_positions", "conjecture_report",
         "exact_length_walk", "fall_down", "falldown_check", "falldown_mismatches",
         "has_odd_cycle",
         "initial_state", "iso_profile", "is_connected", "is_monotone", "is_swept",
         "lion_bound", "load_graph", "make_graph", "min_lions",
-        "naive_column_sweep_moves", "packing", "parity_distances",
+        "naive_column_sweep_moves", "packing",
         "polite_lion_bound", "read_moves", "read_trace", "row_sweep_moves", "run",
         "save_graph", "simultaneous_repositioning", "step", "triangular",
         "validate_moves", "verify_lemma_bounds", "wall_positions", "write_moves",
@@ -36,7 +37,7 @@ PINNED_SURFACE = {
     "LemmaReport": ["violations", "steps_checked"],
     "MinLionsResult": ["k", "verdict"],
     "SearchLimits": ["max_states", "dominance_pruning"],
-    "SearchVerdict": ["status", "trace", "states_explored", "peak_frontier", "detail"],
+    "SearchVerdict": ["status", "trace", "states_explored", "peak_frontier"],
 }
 
 
@@ -55,3 +56,11 @@ def test_public_surface_is_pinned():
         if dataclasses.is_dataclass(obj):
             surface[name] = [field.name for field in dataclasses.fields(obj)]
     assert surface == PINNED_SURFACE
+
+
+def test_public_functions_have_docstrings():
+    """Every function the package exports says what it does."""
+    bare = [name for name in lionsweep.__all__
+            if inspect.isfunction(getattr(lionsweep, name))
+            and not (getattr(lionsweep, name).__doc__ or "").strip()]
+    assert bare == []

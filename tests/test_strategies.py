@@ -15,7 +15,7 @@ from lionsweep.errors import InfeasibleWalkError, WalkParityError, WalkTooShortE
 from lionsweep.graphs import build_square_grid, build_tri_lattice, build_triangle, make_graph
 from lionsweep.strategies import (caffeinated_wall_moves, column_positions,
                                   exact_length_walk, naive_column_sweep_moves,
-                                  parity_distances, row_sweep_moves,
+                                  row_sweep_moves,
                                   simultaneous_repositioning, wall_positions)
 
 
@@ -117,7 +117,7 @@ def test_parity_distances_match_oracle():
     chains as the full tables have them."""
     for g in WALK_GRAPHS:
         for u in range(g.n):
-            dist, parent = parity_distances(g, u)
+            dist, parent = strategies._parity_bfs(g, u, None)
             oracle = bfs_parity_oracle(g, u)
             for t in range(g.n):
                 assert [dist[0][t], dist[1][t]] == [oracle.get((t, 0)), oracle.get((t, 1))]
