@@ -11,25 +11,24 @@ moves and Blocked the (undirected) edges some lion crossed during the step,
 Contamination spreads exactly one hop per step, read off the time-t state;
 a vertex a lion vacates can recontaminate in the same step.
 
-The rule is computed in two parts.  step(), run() and verify call exposure()
-once per state and hand the frame to _advance() for the move step; verify also
-reads |boundary(C)| = |C| - |Safe| off it:
+step(), run() and verify call step_cleared_mask() once per move step that
+validate_moves accepts:
 
-    exposure(), per state:  Safe, the cleared vertices with no contaminated
-        neighbor, and the vacancies, the cleared lion positions v whose
-        contaminated neighbors number at least one and at most the lions on v;
-        Safe costs a few whole-mask operations per index difference of the
-        graph's edges (graphs._interior_mask: 3 differences on R_{n,l}, so
-        about a dozen operations on |V|-bit ints), the vacancies O(k) more;
-    step_cleared_mask(), per move step, O(k):  Safe | Occ', plus each vacancy
-        whose contaminated neighbors are all targets of lions leaving it.
+    cleared(t+1) = Safe | Occ' | the vertices p the step vacates that were
+        cleared and whose contaminated neighbors are all targets of the
+        lions that left p
 
-They give the rule above: a cleared v outside Occ' with a contaminated
+Safe, the cleared vertices with no contaminated neighbor, costs a few
+whole-mask operations per index difference of the graph's edges
+(graphs._interior_mask: 3 on R_{n,l}, so about a dozen operations on |V|-bit
+ints), the vacated vertices O(k) more: one on a row-sweep step.  verify also
+reads |boundary(C)| = |C| - |Safe| off Safe.
+
+This is the rule above: a cleared v outside Occ' with a contaminated
 neighbor u survives only if a lion crossed uv, and that lion went from v to
-u, since one going from u to v would put v in Occ'.  Every lion stands on a
-cleared vertex in each state reachable from initial_state(), as Occ' is
-cleared; exposure() still skips a lion on a contaminated vertex, which the
-rule never clears unless a lion ends the step there.
+u, since one going from u to v would put v in Occ'.  A vacated vertex that
+was not cleared stays contaminated; no state reachable from initial_state()
+has one, as Occ' is cleared.
 
 A record holds its cleared set as the strictly increasing tuple of its
 vertices, the order write_trace writes and read_trace checks: one pointer a
@@ -43,9 +42,9 @@ operations in C (run() sorts its running set into the record's tuple), not
 a Python loop over C.  step() is that fold over one move: it converts the
 whole tuple in and only the difference out.
 
-The search calls exposure() once per state and never step_cleared_mask():
-it reads every successor of a state off the frame in one batch (see
-search._successor_keys), and its tests hold each batch to this kernel.
+The search expands a whole state at once: it calls exposure() once per
+state and reads every successor off its frame in one batch (see
+search._successor_keys); its tests hold each batch to step_cleared_mask().
 """
 from __future__ import annotations
 
@@ -139,14 +138,8 @@ def step(g: Graph, state: SimState, mv: MoveStep) -> SimState:
     return next(_fold(g, "free", state, (tuple(mv),)))
 
 
-def _advance(frame, lions, mv: MoveStep) -> tuple:
-    """One validated move step off its state's exposure() frame: (positions, cleared) after it."""
-    positions = tuple(p if t == STAY else t for p, t in zip(lions, mv))
-    return positions, step_cleared_mask(frame, positions)
-
-
 def exposure(adj_masks, positions, cleared: int) -> tuple:
-    """First part of the update rule, once per state: the frame (safe, vacancies).
+    """search.can_clear's frame of one state, (safe, vacancies), once per state.
 
     safe is the mask of cleared vertices with no contaminated neighbor. A
     vacancy (1 << v, contaminated neighbors of v, indices of the lions on v)
@@ -168,20 +161,25 @@ def exposure(adj_masks, positions, cleared: int) -> tuple:
     return safe, vacancies
 
 
-def step_cleared_mask(frame, targets) -> int:
-    """Second part of the update rule, once per move step: the cleared mask
-    after the lions of exposure()'s positions move to targets, aligned with
-    them (a lion that stays has its own position as target)."""
-    new_cleared, vacancies = frame
-    for t in targets:
+def step_cleared_mask(adj_masks, lions, cleared: int, safe: int, mv: MoveStep) -> tuple:
+    """The update rule for one move step that validate_moves accepted (each
+    target STAY or a neighbor of its lion): (positions, cleared mask) after
+    it, from cleared, the mask before, and safe, its interior
+    graphs._interior_mask(adj_masks, cleared).  Of the vertices outside
+    Safe | Occ', only those lions leave are tested."""
+    positions, new_cleared, covered_at = [], safe, {}  # vacated p -> its lions' targets
+    for p, t in zip(lions, mv):
+        if t == STAY:
+            t = p
+        else:
+            covered_at[p] = covered_at.get(p, 0) | 1 << t
+        positions.append(t)
         new_cleared |= 1 << t
-    for v_bit, exposed, lions in vacancies:
-        covered = 0
-        for i in lions:
-            covered |= 1 << targets[i]
-        if not exposed & ~covered:
-            new_cleared |= v_bit
-    return new_cleared
+    for p, covered in covered_at.items():
+        uncovered = adj_masks[p] & ~covered
+        if cleared >> p & 1 and uncovered & cleared == uncovered:
+            new_cleared |= 1 << p
+    return tuple(positions), new_cleared
 
 
 def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
@@ -205,7 +203,8 @@ def _fold(g: Graph, model: str, state: SimState, moves: Iterable) -> Iterator[Si
         violations = validate_moves(g, model, state, mv)
         if violations:
             raise InvalidMoveError(state.time, violations)
-        positions, new = _advance(exposure(adj_masks, state.lions, cleared), state.lions, mv)
+        positions, new = step_cleared_mask(adj_masks, state.lions, cleared,
+                                           _interior_mask(adj_masks, cleared), mv)
         members.symmetric_difference_update(mask_vertices(cleared ^ new))
         cleared = new
         state = SimState(state.time + 1, positions, tuple(sorted(members)))

@@ -16,13 +16,13 @@ parent links. The frontier and the per-position antichains hold the
 admitted keys: keys with one position code compare as their cleared masks,
 a | b == b iff the masks do. A state's positions are decoded on expansion.
 
-Expanding a state runs dynamics.exposure once and derives every successor
-key from its frame (_successor_keys), without a step_cleared_mask call per
-move: a vacancy v stays cleared iff the targets of the lions on v cover its
-exposed mask. The work per move is one addition and one lookup, in tables
-of the search's _KeyCodes that fill on first use and are bounded by the lion
-configurations, not by the states: each position code is decoded once, and
-each vertex's free or caffeinated move factor is built once per lion count
+Expanding a state runs dynamics.exposure once, its only caller, and reads
+every successor key off the frame (_successor_keys), with no step_cleared_mask
+call per move: a vacancy v stays cleared iff the targets of the lions on v
+cover its exposed mask. The work per move is one addition and one lookup, in
+tables of the search's _KeyCodes that fill on first use and are bounded by the
+lion configurations, not by the states: each position code is decoded once,
+and each vertex's free or caffeinated move factor is built once per lion count
 and exposed mask, then summed factor by factor into the move's code sums.
 
 Lions on one vertex are interchangeable, so a move is enumerated once per
@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from . import dynamics
+from . import dynamics, graphs
 from .dynamics import STAY, Trace, exposure, initial_state, run
 from .graphs import Graph, check_vertices, has_odd_cycle, is_connected, mask_vertices, vertex_mask
 
@@ -365,10 +365,10 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
     ValueError): the first record whose move validate_moves rejects under
     the motion model, or whose lions or cleared set differ from the replay,
     is a "replay" violation.  Also check, with k the lion count and
-    |boundary(C(t))| = |C(t)| - |Safe| read off the frame the replay steps with,
-    |C(t+1)| - |C(t)| <= k and that |boundary(C(t))| >= 2k forces
-    |C(t+1)| <= |C(t)|: proved facts, so a violation means an engine bug or
-    an edited trace.
+    |boundary(C(t))| = |C(t)| - |Safe|, Safe being computed on every step and
+    handed to the replay's step_cleared_mask, |C(t+1)| - |C(t)| <= k and that
+    |boundary(C(t))| >= 2k forces |C(t+1)| <= |C(t)|: proved facts, so a
+    violation means an engine bug or an edited trace.
 
     Record 0's cleared set becomes a mask in full; each later mask is the
     previous one with the two records' symmetric difference flipped, a few
@@ -393,10 +393,10 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
         members ^= flipped
         next_cleared = cleared ^ vertex_mask(flipped, g.n)
         growth = next_cleared.bit_count() - cleared.bit_count()
-        frame = exposure(g.neighbor_masks, a.lions, cleared)
+        safe = graphs._interior_mask(g.neighbor_masks, cleared)
         if growth > k:
             violations.append((a.time, "growth-bound", f"|C| grew by {growth} > k={k}"))
-        if growth > 0 and cleared.bit_count() - frame[0].bit_count() >= 2 * k:
+        if growth > 0 and cleared.bit_count() - safe.bit_count() >= 2 * k:
             violations.append((a.time, "boundary-stall",
                                f"boundary >= 2k={2 * k} yet |C| grew by {growth}"))
         if replaying:  # until the first divergence, record a is the replayed state
@@ -405,7 +405,8 @@ def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaRep
                 detail = f"move {list(mv)} " + " and ".join(
                     dict.fromkeys(_BROKEN_RULES[reason] for _, reason in broken))
             else:
-                positions, replayed = dynamics._advance(frame, a.lions, mv)
+                positions, replayed = dynamics.step_cleared_mask(g.neighbor_masks, a.lions,
+                                                                 cleared, safe, mv)
                 if positions != b.lions:
                     detail = f"lions {list(b.lions)}, replay gives {list(positions)}"
                 elif replayed != next_cleared:

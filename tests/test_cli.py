@@ -214,6 +214,25 @@ def test_verify_rejects_lions_off_the_graph(tmp_path, capsys):
     assert "t=1 replay: move [3] is not a step to adjacent vertices" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", [10 ** 12, -2])
+def test_forged_move_targets_never_reach_the_kernel(tmp_path, capsys, target):
+    """A move target off the graph is refused by validate_moves before the
+    update kernel sees it: a verify replay names the move and exits 10, a
+    simulate moves file exits 2."""
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    trace, moves = tmp_path / "forged.jsonl", tmp_path / "moves.txt"
+    _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
+                           {"t": 1, "lions": [1], "cleared": [1], "move": [target]}])
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 10
+    assert capsys.readouterr().out == \
+        f"t=1 replay: move [{target}] is not a step to adjacent vertices\n"
+    write_moves([(target,)], moves)
+    assert main(["simulate", str(r2), "--lions", "0", "--moves", str(moves)]) == 2
+    assert "invalid move at step 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("vertex", [9, 10 ** 12])
 def test_verify_rejects_a_later_cleared_vertex_off_the_graph(tmp_path, capsys, vertex):
     """verify range-checks record 0 in full and every later vertex where it

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import (WIDE_GRAPHS, random_connected_graph, row_sweep_14_48, small_graphs,
                       wide_graph, wide_masks)
-from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, exposure, initial_state,
+from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, initial_state,
                                 is_monotone, is_swept, read_moves, read_trace, run,
                                 step, step_cleared_mask, validate_moves, write_moves,
                                 write_trace)
 from lionsweep.errors import ParseError
-from lionsweep.graphs import (boundary, build_tri_lattice, make_graph, mask_vertices,
-                              vertex_mask)
+from lionsweep.graphs import (_interior_mask, boundary, build_tri_lattice, make_graph,
+                              mask_vertices, vertex_mask)
 
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
 PATH2 = make_graph(2, [(0, 1)])
@@ -237,23 +237,38 @@ def kernel_cases(draw):
     return g, cleared, tuple(lions), mv
 
 
+def kernel_mask(g, cleared, lions, mv):
+    """The update's two parts for a validated move step: Safe, the cleared
+    set's interior, then step_cleared_mask; returns the new cleared mask,
+    having checked the positions it gives against the moves."""
+    mask = vertex_mask(cleared, g.n)
+    positions, new = step_cleared_mask(g.neighbor_masks, lions, mask,
+                                       _interior_mask(g.neighbor_masks, mask), mv)
+    assert positions == tuple(p if t == STAY else t for p, t in zip(lions, mv))
+    return new
+
+
 # two lions on vertex 1, apart in the tuple, block both of its contaminated neighbors
 @example((make_graph(4, [(0, 1), (1, 2), (1, 3)]), frozenset({0, 1}), (1, 0, 1), (2, STAY, 3)))
+# two lions on vertex 1: one stays and one leaves, so 1 stays occupied
+@example((make_graph(4, [(0, 1), (1, 2), (1, 3)]), frozenset({0, 1}), (1, 1), (2, STAY)))
+# two lions leave vertex 1 and cover its two contaminated neighbors, joined to each other
+@example((make_graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)]), frozenset({0, 1}), (1, 1), (2, 3)))
+# a lone lion leaves uncleared vertex 1 for its one contaminated neighbor: 1 is not cleared
+@example((make_graph(3, [(0, 1), (1, 2)]), frozenset({2}), (1,), (0,)))
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
 def test_two_part_kernel_matches_reference_rule(case):
     g, cleared, lions, mv = case
-    targets = tuple(p if t == STAY else t for p, t in zip(lions, mv))
-    frame = exposure(g.neighbor_masks, lions, vertex_mask(cleared, g.n))
     expected = reference_cleared_update(g, cleared, lions, mv)
-    assert step_cleared_mask(frame, targets) == vertex_mask(expected, g.n)
+    assert kernel_mask(g, cleared, lions, mv) == vertex_mask(expected, g.n)
 
 
 @pytest.mark.parametrize("spec", WIDE_GRAPHS)
 def test_two_part_kernel_matches_reference_rule_on_wide_graphs(spec, rng):
-    """exposure and step_cleared_mask on masks of several machine words, with
-    lions stacked or alone at the word edges 63 and 64, at |V| - 1 and
-    elsewhere, standing on cleared vertices or, once in a while, not."""
+    """step_cleared_mask on masks of several machine words, with lions
+    stacked or alone at the word edges 63 and 64, at |V| - 1 and elsewhere,
+    standing on cleared vertices or, once in a while, not."""
     g = wide_graph(spec)
     for mask in wide_masks(g, rng):
         for _ in range(6):
@@ -263,10 +278,8 @@ def test_two_part_kernel_matches_reference_rule_on_wide_graphs(spec, rng):
             if rng.random() < 0.8:
                 cleared |= frozenset(lions)
             mv = tuple(rng.choice((STAY,) + g.adj[p]) for p in lions)
-            targets = tuple(p if t == STAY else t for p, t in zip(lions, mv))
-            frame = exposure(g.neighbor_masks, lions, vertex_mask(cleared, g.n))
             expected = reference_cleared_update(g, cleared, lions, mv)
-            assert step_cleared_mask(frame, targets) == vertex_mask(expected, g.n)
+            assert kernel_mask(g, cleared, lions, mv) == vertex_mask(expected, g.n)
 
 
 def assert_run_is_the_fold_of_step_and_of_the_reference_rule(g, model, lions, moves):

@@ -187,19 +187,29 @@ def test_state_limit_is_never_exceeded(g, model, data):
             assert verdict == unlimited
 
 
+def _kernel_mask(g, positions, cleared, safe, targets):
+    """step_cleared_mask's mask after the lions at positions move to targets
+    aligned with them, a lion whose target is its position staying."""
+    mv = tuple(STAY if t == p else t for p, t in zip(positions, targets))
+    moved, mask = step_cleared_mask(g.neighbor_masks, positions, cleared, safe, mv)
+    assert moved == tuple(targets)
+    return mask
+
+
 def _assert_keys_match_the_kernel(g, model, positions, cleared):
-    """Every key is step_cleared_mask's cleared mask plus the position codes
-    of the targets codes.move gives at its index, on the state's own frame
-    and on that frame with its vacancies dropped; returns the moves and the
-    keys on the state's own frame."""
+    """Every key on the state's own frame is step_cleared_mask's cleared mask
+    plus the position codes of the targets codes.move gives at its index; on
+    that frame with its vacancies dropped, every key is Safe | Occ' plus
+    them. Returns the moves and the keys on the state's own frame."""
     sorted_adj = tuple(tuple(sorted(g.adj[v])) for v in range(g.n))
     codes = _KeyCodes(sorted_adj, len(positions))
     safe, vacancies = exposure(g.neighbor_masks, positions, cleared)
-    for frame in ((safe, []), (safe, vacancies)):
+    for real, frame in ((False, (safe, [])), (True, (safe, vacancies))):
         keys = list(_successor_keys(frame, model, positions, codes))
         moves = [codes.move(model, positions, i) for i in range(len(keys))]
-        assert keys == [step_cleared_mask(frame, t) | sum(codes.code[v] for v in t)
-                        for t in moves]
+        masks = [_kernel_mask(g, positions, cleared, safe, t) if real else
+                 safe | vertex_mask(t, g.n) for t in moves]
+        assert keys == [mask | sum(codes.code[v] for v in t) for mask, t in zip(masks, moves)]
         assert [codes.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
     return moves, keys
 
@@ -278,7 +288,8 @@ def test_multiset_moves_keep_every_first_occurrence(g, model, data):
     for t, key in zip(moves, keys):
         first.setdefault(key, t)
     for t in reference:
-        key = step_cleared_mask(frame, t) | sum(map(codes.code.__getitem__, t))
+        key = _kernel_mask(g, positions, cleared, frame[0], t) | \
+            sum(map(codes.code.__getitem__, t))
         first_reference.setdefault(key, t)
     assert list(first.items()) == list(first_reference.items())
     assert set(map(tuple, map(sorted, moves))) == set(map(tuple, map(sorted, reference)))
@@ -305,8 +316,8 @@ def test_one_key_table_serves_many_states(g, k, data):
         keys = list(_successor_keys(frame, model, positions, shared))
         moves = [shared.move(model, positions, i) for i in range(len(keys))]
         assert keys == list(_successor_keys(frame, model, positions, _KeyCodes(g.adj, k)))
-        assert keys == [step_cleared_mask(frame, t) | sum(map(shared.code.__getitem__, t))
-                        for t in moves]
+        assert keys == [_kernel_mask(g, positions, cleared, frame[0], t) |
+                        sum(map(shared.code.__getitem__, t)) for t in moves]
         assert [shared.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
 
 
@@ -373,13 +384,31 @@ def test_search_never_calls_the_kernel(monkeypatch, model):
     two lions on R_{3,3} meet vacancies under every model."""
     calls = []
 
-    def counted(frame, targets):
-        calls.append(targets)
-        return step_cleared_mask(frame, targets)
+    def counted(*args):
+        calls.append(args)
+        return step_cleared_mask(*args)
 
     monkeypatch.setattr(dynamics, "step_cleared_mask", counted)
     monkeypatch.setattr(search, "step_cleared_mask", counted, raising=False)
     assert can_clear(R3, 2, model).status == "impossible"
+    assert calls == []
+
+
+def test_trajectories_never_call_exposure(monkeypatch):
+    """run and verify_lemma_bounds step with step_cleared_mask alone: on the
+    R_{14,48} row sweep neither calls exposure, which only the search uses."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return exposure(*args)
+
+    monkeypatch.setattr(dynamics, "exposure", counted)
+    monkeypatch.setattr(search, "exposure", counted)
+    g, starts, plan = row_sweep_14_48()
+    trace = run(g, "free", starts, plan.moves)
+    assert is_swept(trace, g) is not None
+    assert verify_lemma_bounds(g, trace).ok
     assert calls == []
 
 
