@@ -42,9 +42,10 @@ operations in C (run() sorts its running set into the record's tuple), not
 a Python loop over C.  step() is that fold over one move: it converts the
 whole tuple in and only the difference out.
 
-The search expands a whole state at once: it calls exposure() once per
-state and reads every successor off its frame in one batch (see
-search._successor_keys); its tests hold each batch to step_cleared_mask().
+The search expands a whole state at once: it takes Safe from
+graphs._interior_mask once per state and reads every successor off its move
+tables in one batch (see search._successor_keys); its tests hold each batch
+to step_cleared_mask().
 """
 from __future__ import annotations
 
@@ -136,29 +137,6 @@ def step(g: Graph, state: SimState, mv: MoveStep) -> SimState:
     under the free model and raises InvalidMoveError at step state.time.
     """
     return next(_fold(g, "free", state, (tuple(mv),)))
-
-
-def exposure(adj_masks, positions, cleared: int) -> tuple:
-    """search.can_clear's frame of one state, (safe, vacancies), once per state.
-
-    safe is the mask of cleared vertices with no contaminated neighbor. A
-    vacancy (1 << v, contaminated neighbors of v, indices of the lions on v)
-    is a cleared lion position with contaminated neighbors, no more of them
-    than lions on v: only such a vertex can stay cleared once vacated.
-    adj_masks is the graph's neighbor_masks and cleared a mask of its
-    vertices; positions may be in any order and repeat vertices.
-    """
-    contaminated = adj_masks.full ^ cleared
-    safe = _interior_mask(adj_masks, cleared)
-    lions_at = {}
-    for i, p in enumerate(positions):
-        lions_at.setdefault(p, []).append(i)
-    vacancies = []
-    for p, lions in lions_at.items():
-        exposed = adj_masks[p] & contaminated
-        if exposed and cleared >> p & 1 and exposed.bit_count() <= len(lions):
-            vacancies.append((1 << p, exposed, lions))
-    return safe, vacancies
 
 
 def step_cleared_mask(adj_masks, lions, cleared: int, safe: int, mv: MoveStep) -> tuple:

@@ -16,14 +16,16 @@ parent links. The frontier and the per-position antichains hold the
 admitted keys: keys with one position code compare as their cleared masks,
 a | b == b iff the masks do. A state's positions are decoded on expansion.
 
-Expanding a state runs dynamics.exposure once, its only caller, and reads
-every successor key off the frame (_successor_keys), with no step_cleared_mask
-call per move: a vacancy v stays cleared iff the targets of the lions on v
-cover its exposed mask. The work per move is one addition and one lookup, in
-tables of the search's _KeyCodes that fill on first use and are bounded by the
-lion configurations, not by the states: each position code is decoded once,
-and each vertex's free or caffeinated move factor is built once per lion count
-and exposed mask, then summed factor by factor into the move's code sums.
+Expanding a state takes its Safe from graphs._interior_mask once and reads
+every successor key off code sums (_successor_keys), with no step_cleared_mask
+call per move: a vertex p the lions on it vacate stays cleared iff their
+targets cover its exposed mask, its contaminated neighbours. The work per
+move is one addition and one lookup, in tables of the search's _KeyCodes that
+fill on first use and are bounded by the lion configurations, not by the
+states: each position code is decoded once, and each vertex's move factor is
+built once per lion count and exposed mask. Free and caffeinated moves sum
+the factors factor by factor; a polite move adds one lion's caffeinated
+factor to the stay sum less the code of the vertex it leaves.
 
 Lions on one vertex are interchangeable, so a move is enumerated once per
 target multiset of each vertex's lions, not once per ordered target tuple:
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import dynamics, graphs
-from .dynamics import STAY, Trace, exposure, initial_state, run
+from .dynamics import STAY, Trace, initial_state, run
 from .graphs import Graph, check_vertices, has_odd_cycle, is_connected, mask_vertices, vertex_mask
 
 
@@ -112,9 +114,11 @@ class _KeyCodes(dict):
     bits above n) -> its sorted positions, at most C(n+k-1, k) entries;
     targets, (stay, p, m) -> the target multisets of m <= k lions on p, at
     most n*k entries; and factors, (stay, p, m, exposed) -> their code sums
-    (factor), exposed being 0 or a set of at most m of p's neighbours. A
-    memo of successor-key lists per configuration and vacancies would grow
-    with the states, and triple the peak RSS of a R_{4,4} free k=4 search."""
+    (factor), exposed being 0 or a set of at most m of p's neighbours. All
+    three motion models read them: polite moves only the (False, p, 1)
+    entries, one lion stepping to a neighbour. A memo of successor-key lists
+    per configuration and vacancies would grow with the states, and triple
+    the peak RSS of a R_{4,4} free k=4 search."""
 
     def __init__(self, adj, k: int):
         super().__init__()
@@ -122,7 +126,6 @@ class _KeyCodes(dict):
         self.n = len(adj)
         self.b = k.bit_length()
         self.code = tuple(1 << (self.n + v * self.b) for v in range(self.n))
-        self.adj_steps = tuple(tuple(self.code[u] | 1 << u for u in nbrs) for nbrs in adj)
         self.decoded = {}
         self.targets = {}
         self.factors = {}
@@ -168,14 +171,16 @@ class _KeyCodes(dict):
     def move(self, model: str, positions: tuple, i: int) -> tuple:
         """The targets, aligned with the sorted positions, of the move behind
         the i-th key _successor_keys yields from them. Polite: 0 is the stay,
-        then one block of adj[p] per distinct p, moving p's first lion. Free
-        and caffeinated: one digit of i per factor, the last the fastest."""
+        then one block of one-lion targets per distinct p, moving p's first
+        lion. Free and caffeinated: one digit of i per factor, the last the
+        fastest."""
         if model == "polite":
             for p in dict.fromkeys(positions):
-                if 0 < i <= len(self.adj[p]):
+                table = self._targets(False, p, 1)
+                if 0 < i <= len(table):
                     j = positions.index(p)
-                    return positions[:j] + (self.adj[p][i - 1],) + positions[j + 1:]
-                i -= len(self.adj[p])
+                    return positions[:j] + table[i - 1] + positions[j + 1:]
+                i -= len(table)
             return positions
         targets = ()
         for p in reversed(dict.fromkeys(positions)):
@@ -190,48 +195,41 @@ class _KeyCodes(dict):
         return key
 
 
-def _successor_keys(frame, model: str, positions: tuple, codes: _KeyCodes) -> Iterator[int]:
-    """The keys after each move from the state at the sorted positions whose
-    exposure frame is given; codes.move gives the targets of the i-th move.
+def _successor_keys(adj_masks, model: str, key: int, codes: _KeyCodes) -> Iterator[int]:
+    """The keys after each move from the state key on the graph whose
+    neighbor_masks adj_masks is; codes.move gives the targets of the i-th move.
 
-    A move clears Safe | Occ' and each vacancy v whose exposed mask the
-    targets of the lions on v cover. Bit v is one of the low n bits, so
-    adding it to a sum of position codes never carries into the counts, and
-    distinct vacancies are distinct bits.
+    A move clears Safe | Occ' and each vacated vertex p whose exposed mask,
+    adj_masks[p] & ~cleared, the targets of the lions that left p cover; an
+    exposed mask with more bits than p has lions counts as 0, as no move
+    covers it. Bit p is one of the low n bits, so adding it to a sum of
+    position codes never carries into the counts, and distinct vertices are
+    distinct bits.
 
-    Polite: the lion on p moving to t gives safe | Occ, less p if it held
-    p's only lion, | t, and the code sum less code[p] plus code[t]; if p is
-    a vacancy, bit p comes back on the one t with exposed == 1 << t.
-
-    Stacked lions are interchangeable, so a polite step moves only the first
-    lion of each vertex, and the free and caffeinated sums are the product
-    of one factor per occupied vertex, codes.factor of its m lions, summed
-    factor by factor with the first factor outermost, as in
-    itertools.product. The key of a sum s is safe | codes[s].
+    Stacked lions are interchangeable, so the free and caffeinated sums are
+    the product of one factor per occupied vertex, codes.factor of its m
+    lions, summed factor by factor with the first factor outermost, as in
+    itertools.product; a polite step moves only the first lion of each
+    vertex, so its sums are the stay sum pc, then pc - code[p] plus each sum
+    of the one-lion caffeinated factor of p, whose exposed mask is 0 if
+    other lions stay on p. The key of a sum s is safe | codes[s].
     """
-    safe, vacancies = frame
-    exposed_at = {v_bit.bit_length() - 1: exposed for v_bit, exposed, _ in vacancies}
-    if model == "polite":
-        code, adj = codes.code, codes.adj
-        occ = 0
-        for p in positions:
-            occ |= 1 << p
-        pc = sum(map(code.__getitem__, positions))
-        moves = []
-        for p in dict.fromkeys(positions):
-            low, steps = safe | occ, codes.adj_steps[p]
-            if positions.count(p) == 1:
-                low = safe | occ & ~(1 << p)
-                if p in exposed_at:  # one lion: exposed is one neighbour's bit
-                    i = adj[p].index(exposed_at[p].bit_length() - 1)
-                    steps = steps[:i] + (steps[i] | 1 << p,) + steps[i + 1:]
-            moves.append(map(low.__or__, map((pc - code[p]).__add__, steps)))
-        return itertools.chain((safe | occ | pc,), *moves)
-    stay = model == "free"
-    sums = [0]
+    cleared = key & adj_masks.full
+    safe = graphs._interior_mask(adj_masks, cleared)
+    positions = codes.positions(key)
+    polite, pc = model == "polite", key ^ cleared
+    sums = [pc] if polite else [0]
     for p in dict.fromkeys(positions):
-        f = codes.factor(stay, p, positions.count(p), exposed_at.get(p, 0))
-        sums = [x + y for x in sums for y in f]
+        m = positions.count(p)
+        exposed = adj_masks[p] & ~cleared
+        if exposed.bit_count() > m:
+            exposed = 0
+        if polite:
+            sums += map((pc - codes.code[p]).__add__,
+                        codes.factor(False, p, 1, exposed if m == 1 else 0))
+        else:
+            f = codes.factor(model == "free", p, m, exposed)
+            sums = [x + y for x in sums for y in f]
     return map(safe.__or__, map(codes.__getitem__, sums))
 
 
@@ -266,11 +264,6 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     frontier: deque = deque([None])  # the root, whose successors are the start keys
     peak = admitted = 0
 
-    def expand(key: int):
-        positions = codes.positions(key)
-        frame = exposure(adj_masks, positions, key & full)
-        return positions, _successor_keys(frame, model, positions, codes)
-
     def witness(key: int) -> Trace:
         # a key is admitted at its first offer, so its first index among its
         # parent's successor keys is the move that was searched
@@ -280,7 +273,8 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
         actual = list(codes.positions(chain[-1]))
         steps = []
         for parent, child in itertools.pairwise(reversed(chain)):
-            positions, keys = expand(parent)
+            positions = codes.positions(parent)
+            keys = _successor_keys(adj_masks, model, parent, codes)
             i = next(i for i, key in enumerate(keys) if key == child)
             order = sorted(range(k), key=actual.__getitem__)  # stable: ties keep lion order
             assert [actual[lion] for lion in order] == list(positions)
@@ -294,8 +288,8 @@ def can_clear(g: Graph, k: int, model: str = "free", starts="canonical",
     while frontier:
         peak = max(peak, len(frontier))
         key = frontier.popleft()
-        for new_key in itertools.filterfalse(parents.__contains__,
-                                             start_keys if key is None else expand(key)[1]):
+        successors = start_keys if key is None else _successor_keys(adj_masks, model, key, codes)
+        for new_key in itertools.filterfalse(parents.__contains__, successors):
             parents[new_key] = key
             new_cleared = new_key & full
             if new_cleared == full:

@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import WIDE_GRAPHS, small_graphs, wide_graph, wide_masks
-from lionsweep.dynamics import exposure
 from lionsweep.errors import ParseError
-from lionsweep.graphs import (Graph, boundary, boundary_size_mask, build_circulant,
-                              build_square_grid, build_tri_lattice, build_triangle, check_vertices,
-                              has_odd_cycle, is_connected, load_graph, make_graph, mask_vertices,
-                              save_graph, vertex_mask)
+from lionsweep.graphs import (Graph, _interior_mask, boundary, boundary_size_mask,
+                              build_circulant, build_square_grid, build_tri_lattice,
+                              build_triangle, check_vertices, has_odd_cycle, is_connected,
+                              load_graph, make_graph, mask_vertices, save_graph, vertex_mask)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lionsweep"
 
@@ -161,13 +160,12 @@ def _assert_mask_kernels_match(g, mask):
     s = frozenset(mask_vertices(mask))
     b = boundary(g, s)
     assert boundary_size_mask(g.neighbor_masks, mask) == len(b)
-    safe, _ = exposure(g.neighbor_masks, (), mask)
-    assert safe == vertex_mask(s - b, g.n)
+    assert _interior_mask(g.neighbor_masks, mask) == vertex_mask(s - b, g.n)
 
 
 @given(graphs_with_masks())
 def test_mask_kernels_match_set_boundary(case):
-    """boundary_size_mask and exposure's Safe share one shift-table
+    """boundary_size_mask and the update rule's Safe share one shift-table
     neighbourhood, _interior_mask; both must agree with the set-based boundary."""
     _assert_mask_kernels_match(*case)
 

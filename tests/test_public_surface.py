@@ -1,6 +1,8 @@
 """The library's public names and the fields of its public dataclasses."""
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import lionsweep
 
@@ -40,6 +42,20 @@ PINNED_SURFACE = {
     "SearchVerdict": ["status", "trace", "states_explored", "peak_frontier"],
 }
 
+# Each module's public functions and classes that lionsweep.__all__ leaves out.
+PINNED_OUTSIDE_ALL = {
+    "cheeger": [],
+    "cli": ["cmd_graph", "cmd_simulate", "cmd_strategy", "cmd_verify", "cmd_search",
+            "cmd_cheeger", "cmd_isoperimetry", "cmd_conjecture", "main", "entry"],
+    "dynamics": ["step_cleared_mask"],
+    "errors": [],
+    "graphs": ["NeighborMasks", "check_vertices", "vertex_mask", "mask_vertices",
+               "boundary_size_mask"],
+    "isoperimetry": [],
+    "search": [],
+    "strategies": [],
+}
+
 
 def test_public_surface_is_pinned():
     """The package exports exactly the names in PINNED_SURFACE, and each
@@ -64,3 +80,23 @@ def test_public_functions_have_docstrings():
             if inspect.isfunction(getattr(lionsweep, name))
             and not (getattr(lionsweep, name).__doc__ or "").strip()]
     assert bare == []
+
+
+def test_public_names_outside_all_are_pinned():
+    """Each module defines exactly the public functions and classes outside
+    lionsweep.__all__ listed in PINNED_OUTSIDE_ALL.
+
+    perfbench's tracer wraps every public function of the package as a
+    span, so a public helper on a hot path costs a span per call in traced
+    runs; a new one must edit this table, where a diff shows it.
+    """
+    surface = {}
+    for info in pkgutil.iter_modules(lionsweep.__path__):
+        if info.name == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module(f"lionsweep.{info.name}")
+        surface[info.name] = [name for name, obj in vars(module).items()
+                              if not name.startswith("_") and name not in lionsweep.__all__
+                              and (inspect.isfunction(obj) or inspect.isclass(obj))
+                              and obj.__module__ == module.__name__]
+    assert surface == PINNED_OUTSIDE_ALL

@@ -6,16 +6,16 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_connected_graph, row_sweep_14_48, small_graphs
 from lionsweep import dynamics, search
-from lionsweep.dynamics import (STAY, SimState, Trace, exposure, initial_state, is_swept, run,
-                                step, step_cleared_mask, validate_moves)
-from lionsweep.graphs import (boundary_size_mask, build_circulant, build_square_grid,
-                              build_tri_lattice, build_triangle, is_connected, make_graph,
-                              mask_vertices, vertex_mask)
+from lionsweep.dynamics import (STAY, SimState, Trace, initial_state, is_swept, run, step,
+                                step_cleared_mask, validate_moves)
+from lionsweep.graphs import (_interior_mask, boundary_size_mask, build_circulant,
+                              build_square_grid, build_tri_lattice, build_triangle, is_connected,
+                              make_graph, mask_vertices, vertex_mask)
 from lionsweep.search import (SearchLimits, _KeyCodes, _successor_keys, can_clear,
                               min_lions, verify_lemma_bounds)
 
@@ -196,44 +196,57 @@ def _kernel_mask(g, positions, cleared, safe, targets):
     return mask
 
 
+def _key(codes, positions, cleared):
+    """The search's key of the state: cleared plus the lions' position codes."""
+    return cleared | sum(map(codes.code.__getitem__, positions))
+
+
 def _assert_keys_match_the_kernel(g, model, positions, cleared):
-    """Every key on the state's own frame is step_cleared_mask's cleared mask
-    plus the position codes of the targets codes.move gives at its index; on
-    that frame with its vacancies dropped, every key is Safe | Occ' plus
-    them. Returns the moves and the keys on the state's own frame."""
+    """Every key is step_cleared_mask's cleared mask, on Safe from
+    _interior_mask, plus the position codes of the targets codes.move gives
+    at its index. Returns the moves and the keys."""
     sorted_adj = tuple(tuple(sorted(g.adj[v])) for v in range(g.n))
     codes = _KeyCodes(sorted_adj, len(positions))
-    safe, vacancies = exposure(g.neighbor_masks, positions, cleared)
-    for real, frame in ((False, (safe, [])), (True, (safe, vacancies))):
-        keys = list(_successor_keys(frame, model, positions, codes))
-        moves = [codes.move(model, positions, i) for i in range(len(keys))]
-        masks = [_kernel_mask(g, positions, cleared, safe, t) if real else
-                 safe | vertex_mask(t, g.n) for t in moves]
-        assert keys == [mask | sum(codes.code[v] for v in t) for mask, t in zip(masks, moves)]
-        assert [codes.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
+    safe = _interior_mask(g.neighbor_masks, cleared)
+    keys = list(_successor_keys(g.neighbor_masks, model, _key(codes, positions, cleared), codes))
+    moves = [codes.move(model, positions, i) for i in range(len(keys))]
+    assert keys == [_kernel_mask(g, positions, cleared, safe, t) | sum(codes.code[v] for v in t)
+                    for t in moves]
+    assert [codes.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
     return moves, keys
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_graphs(), st.sampled_from(("free", "caffeinated", "polite")), st.data())
-def test_successor_keys_match_the_kernel(g, model, data):
-    """The kernel is the oracle for every key, with up to four lions, and in
-    half the draws the lions share at most two vertices, so that vacancies
-    hold several lions."""
-    if g.n == 0:
-        return
-    k = data.draw(st.integers(0, 4))
+@st.composite
+def lion_states(draw):
+    """A small_graphs graph with at least one vertex, the sorted positions of
+    up to four lions, and a cleared mask holding them; in half the draws the
+    lions share at most two vertices, so that vacancies hold several lions."""
+    g = draw(small_graphs().filter(lambda g: g.n))
+    k = draw(st.integers(0, 4))
     pool = st.integers(0, g.n - 1)
-    if data.draw(st.booleans()):
-        pool = st.sampled_from(sorted(data.draw(st.sets(pool, min_size=1, max_size=2))))
-    positions = tuple(sorted(data.draw(st.lists(pool, min_size=k, max_size=k))))
-    cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
-    _assert_keys_match_the_kernel(g, model, positions, cleared)
+    if draw(st.booleans()):
+        pool = st.sampled_from(sorted(draw(st.sets(pool, min_size=1, max_size=2))))
+    positions = tuple(sorted(draw(st.lists(pool, min_size=k, max_size=k))))
+    return g, positions, vertex_mask(positions, g.n) | draw(st.integers(0, (1 << g.n) - 1))
 
 
 # vertex 0 with two lions, cleared, and its neighbours 1 and 2 contaminated;
 # vertex 3 with one lion, cleared, and its neighbour 4 contaminated
 STAR = make_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lion_states())
+# one lion on vertex 0, whose exposed mask {1, 2, 3} has more bits than it has lions
+@example((STAR, (0,), 0b1))
+# two lions on vertex 3, whose exposed mask is one neighbour, 4: a polite
+# step leaves one of them there
+@example((STAR, (3, 3), 0b1001))
+def test_successor_keys_match_the_kernel(case):
+    """The kernel is the oracle for every key, under every motion model."""
+    g, positions, cleared = case
+    for model in dynamics.MODELS:
+        _assert_keys_match_the_kernel(g, model, positions, cleared)
 
 
 @pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
@@ -242,8 +255,6 @@ def test_vacancies_of_two_lions_and_of_one(model):
     one of a lion whose exposed mask is {4}: once its lions leave, each
     stays cleared exactly when they cover its exposed mask."""
     positions, cleared = (0, 0, 3), 0b1001
-    assert exposure(STAR.neighbor_masks, positions, cleared) == \
-        (0, [(0b1, 0b110, [0, 1]), (0b1000, 0b10000, [2])])
     moves, keys = _assert_keys_match_the_kernel(STAR, model, positions, cleared)
     kept_0 = [t for t, key in zip(moves, keys) if key & 1 and 0 not in t]
     kept_3 = [t for t, key in zip(moves, keys) if key >> 3 & 1 and 3 not in t]
@@ -280,15 +291,15 @@ def test_multiset_moves_keep_every_first_occurrence(g, model, data):
     positions = tuple(sorted(data.draw(st.lists(pool, min_size=k, max_size=k))))
     cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
     codes = _KeyCodes(g.adj, k)
-    frame = exposure(g.neighbor_masks, positions, cleared)
+    safe = _interior_mask(g.neighbor_masks, cleared)
     reference = list(_per_lion_moves(model, positions, g.adj))
-    keys = list(_successor_keys(frame, model, positions, codes))
+    keys = list(_successor_keys(g.neighbor_masks, model, _key(codes, positions, cleared), codes))
     moves = [codes.move(model, positions, i) for i in range(len(keys))]
     first, first_reference = {}, {}
     for t, key in zip(moves, keys):
         first.setdefault(key, t)
     for t in reference:
-        key = _kernel_mask(g, positions, cleared, frame[0], t) | \
+        key = _kernel_mask(g, positions, cleared, safe, t) | \
             sum(map(codes.code.__getitem__, t))
         first_reference.setdefault(key, t)
     assert list(first.items()) == list(first_reference.items())
@@ -312,22 +323,23 @@ def test_one_key_table_serves_many_states(g, k, data):
             pool = st.sampled_from(sorted(data.draw(st.sets(pool, min_size=1, max_size=2))))
         positions = tuple(sorted(data.draw(st.lists(pool, min_size=k, max_size=k))))
         cleared = vertex_mask(positions, g.n) | data.draw(st.integers(0, (1 << g.n) - 1))
-        frame = exposure(g.neighbor_masks, positions, cleared)
-        keys = list(_successor_keys(frame, model, positions, shared))
+        safe, key = _interior_mask(g.neighbor_masks, cleared), _key(shared, positions, cleared)
+        keys = list(_successor_keys(g.neighbor_masks, model, key, shared))
         moves = [shared.move(model, positions, i) for i in range(len(keys))]
-        assert keys == list(_successor_keys(frame, model, positions, _KeyCodes(g.adj, k)))
-        assert keys == [_kernel_mask(g, positions, cleared, frame[0], t) |
+        assert keys == list(_successor_keys(g.neighbor_masks, model, key, _KeyCodes(g.adj, k)))
+        assert keys == [_kernel_mask(g, positions, cleared, safe, t) |
                         sum(map(shared.code.__getitem__, t)) for t in moves]
         assert [shared.positions(key) for key in keys] == [tuple(sorted(t)) for t in moves]
 
 
-@pytest.mark.parametrize("model", ["free", "caffeinated"])
+@pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
 def test_key_tables_grow_with_configurations_not_states(monkeypatch, model):
     """After a search, decoded holds at most one entry per multiset of k
-    positions, targets at most one per vertex p and count 1 <= m <= k of
-    lions on it, and each factor is keyed by such a p and m and an exposed
-    mask of at most m of p's neighbours (0 if p is no vacancy), so no table
-    can grow with the states explored."""
+    positions, targets at most one per vertex p and count m of lions on it,
+    1 <= m <= k, or m = 1 for polite lions, which move one at a time, and
+    each factor is keyed by such a p and m and an exposed mask of at most m
+    of p's neighbours (0 if p is no vacancy), so no table can grow with the
+    states explored."""
     made = []
 
     class Recorded(_KeyCodes):
@@ -337,18 +349,20 @@ def test_key_tables_grow_with_configurations_not_states(monkeypatch, model):
 
     monkeypatch.setattr(search, "_KeyCodes", Recorded)
     k = 3
+    counts = (1,) if model == "polite" else range(1, k + 1)
     verdict = can_clear(R3, k, model, limits=SearchLimits(dominance_pruning=False))
     (codes,) = made
     assert len(codes.decoded) <= math.comb(R3.n + k - 1, k) < verdict.states_explored
     for stay, p, m in codes.targets:
-        assert stay == (model == "free") and 0 <= p < R3.n and 1 <= m <= k
-    assert len(codes.targets) <= R3.n * k < verdict.states_explored
+        assert stay == (model == "free") and 0 <= p < R3.n and m in counts
+    assert len(codes.targets) <= R3.n * len(counts) < verdict.states_explored
+    assert {m for _, _, m, _ in codes.factors} == set(counts)  # every model reads the tables
     masks = R3.neighbor_masks
     for stay, p, m, exposed in codes.factors:
-        assert stay == (model == "free") and 1 <= m <= k
+        assert stay == (model == "free") and m in counts
         assert exposed & masks[p] == exposed and exposed.bit_count() <= m
     bound = sum(1 + sum(math.comb(len(R3.adj[p]), j) for j in range(1, m + 1))
-                for p in range(R3.n) for m in range(1, k + 1))
+                for p in range(R3.n) for m in counts)
     assert len(codes.factors) <= bound < verdict.states_explored
 
 
@@ -379,7 +393,7 @@ def test_successors_generated_are_pinned(monkeypatch, g, model, k, expected):
 
 @pytest.mark.parametrize("model", ["free", "caffeinated", "polite"])
 def test_search_never_calls_the_kernel(monkeypatch, model):
-    """The search derives every key from the exposure frame: an impossible
+    """The search derives every key from its move tables: an impossible
     search, which builds no witness, makes no step_cleared_mask call, though
     two lions on R_{3,3} meet vacancies under every model."""
     calls = []
@@ -394,17 +408,17 @@ def test_search_never_calls_the_kernel(monkeypatch, model):
     assert calls == []
 
 
-def test_trajectories_never_call_exposure(monkeypatch):
+def test_trajectories_never_call_successor_keys(monkeypatch):
     """run and verify_lemma_bounds step with step_cleared_mask alone: on the
-    R_{14,48} row sweep neither calls exposure, which only the search uses."""
+    R_{14,48} row sweep neither calls the search's batch kernel."""
     calls = []
+    successor_keys = search._successor_keys
 
     def counted(*args):
         calls.append(args)
-        return exposure(*args)
+        return successor_keys(*args)
 
-    monkeypatch.setattr(dynamics, "exposure", counted)
-    monkeypatch.setattr(search, "exposure", counted)
+    monkeypatch.setattr(search, "_successor_keys", counted)
     g, starts, plan = row_sweep_14_48()
     trace = run(g, "free", starts, plan.moves)
     assert is_swept(trace, g) is not None
