@@ -233,15 +233,23 @@ def lion_states(draw):
 # vertex 0 with two lions, cleared, and its neighbours 1 and 2 contaminated;
 # vertex 3 with one lion, cleared, and its neighbour 4 contaminated
 STAR = make_graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+# _successor_keys joins the keys with Safe only when Safe is non-empty: Safe
+# is empty in STAR_NO_SAFE and {1} in STAR_SAFE_1, where 1's one neighbour is cleared
+STAR_NO_SAFE = (STAR, (0,), 0b1)
+STAR_SAFE_1 = (STAR, (3,), 0b01011)
+assert _interior_mask(STAR.neighbor_masks, STAR_NO_SAFE[2]) == 0
+assert _interior_mask(STAR.neighbor_masks, STAR_SAFE_1[2]) == 0b10
 
 
 @settings(max_examples=150, deadline=None)
 @given(lion_states())
 # one lion on vertex 0, whose exposed mask {1, 2, 3} has more bits than it has lions
-@example((STAR, (0,), 0b1))
+@example(STAR_NO_SAFE)
 # two lions on vertex 3, whose exposed mask is one neighbour, 4: a polite
 # step leaves one of them there
 @example((STAR, (3, 3), 0b1001))
+# one lion on vertex 3 with vertex 1 safe
+@example(STAR_SAFE_1)
 def test_successor_keys_match_the_kernel(case):
     """The kernel is the oracle for every key, under every motion model."""
     g, positions, cleared = case
