@@ -78,8 +78,8 @@ def cmd_strategy(args) -> int:
 
 def cmd_verify(args) -> int:
     g = graphs.load_graph(args.graph)
-    trace = dynamics.read_trace(args.trace)
-    report = search.verify_lemma_bounds(g, trace, args.model)
+    with open(args.trace, encoding="utf-8") as fh:  # streamed: no whole Trace is held
+        report = search.verify_lemma_bounds(g, fh, args.model)
     if report.ok:
         print(f"0 violations over {report.steps_checked} steps")
         return EXIT_OK

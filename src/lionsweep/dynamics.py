@@ -33,14 +33,11 @@ has one, as Occ' is cleared.
 A record holds its cleared set as the strictly increasing tuple of its
 vertices, the order write_trace writes and read_trace checks: one pointer a
 vertex, where a frozenset's hash table costs several.  run() and verify
-carry the cleared set over from one record to the next: only the step's
-symmetric difference C(t) ^ C(t+1) is converted between mask and vertex
-set, and one set or mask operation flips it.  k lions add at most k
-vertices a step, and on the sweeps and walls of R_{n,l} a step loses few,
-so a record costs O(|C(t) ^ C(t+1)|) Python work plus a few O(|C|)
-operations in C (run() sorts its running set into the record's tuple), not
-a Python loop over C.  step() is that fold over one move: it converts the
-whole tuple in and only the difference out.
+convert only a step's difference C(t) ^ C(t+1) from mask to vertices (k lions
+add at most k vertices a step, and on the sweeps and walls of R_{n,l} a step
+loses few), flip it in one running set and sort that into the next record's
+tuple in C; step() is that fold over one move.  verify renders each replayed
+record as write_trace does and parses no line equal to that text.
 
 The search expands a whole state at once: it takes Safe from
 graphs._interior_mask once per state and reads every successor off its move
@@ -212,6 +209,13 @@ class _VertexText(dict):
         text = self[v] = str(v)
         return text
 
+    def line(self, s: SimState, move) -> str:
+        """The one rendering of a trace record, newline included; move is None at t=0."""
+        text, join = self.__getitem__, ", ".join
+        move = "null" if move is None else f"[{join(map(text, move))}]"
+        return (f'{{"t": {s.time}, "lions": [{join(map(text, s.lions))}], '
+                f'"cleared": [{join(map(text, s.cleared))}], "move": {move}}}\n')
+
 
 def write_trace(tr: Trace, path) -> None:
     """Line-delimited records, one per time step; the t=0 record has move null.
@@ -224,12 +228,8 @@ def write_trace(tr: Trace, path) -> None:
     with cleared in increasing order, ", " between list items and STAY as -1.
     Lions, cleared vertices and moves are ints, and each distinct one is
     rendered once per call."""
-    text, join = _VertexText().__getitem__, ", ".join
     with open(path, "w", encoding="utf-8") as fh:
-        for i, s in enumerate(tr.states):
-            move = f"[{join(map(text, tr.moves[i - 1]))}]" if i else "null"
-            fh.write(f'{{"t": {s.time}, "lions": [{join(map(text, s.lions))}], '
-                     f'"cleared": [{join(map(text, s.cleared))}], "move": {move}}}\n')
+        fh.writelines(map(_VertexText().line, tr.states, (None, *tr.moves)))
 
 
 def read_trace(path) -> Trace:
@@ -239,38 +239,49 @@ def read_trace(path) -> Trace:
     the lion count and the length of every later move equal the first
     record's lion count. Vertices are not range-checked: that needs the
     graph, and verify_lemma_bounds does it."""
-    states = []
-    moves = []
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                t, lions, cleared, move = rec["t"], rec["lions"], rec["cleared"], rec["move"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(f"bad trace record: {exc}", lineno) from None
-            if not (_is_int_list(lions) and _is_int_list(cleared)
-                    and (move is None or _is_int_list(move))):
-                raise ParseError("trace record lions, cleared and move must be lists of integers",
-                                 lineno)
-            if not all(map(operator.lt, cleared, cleared[1:])):
-                raise ParseError("trace record cleared must be strictly increasing", lineno)
-            if type(t) is not int or t != len(states):
-                raise ParseError(f"trace record t={t!r} should be t={len(states)}", lineno)
-            if (move is None) != (not states):
-                raise ParseError("the t=0 record, and no other, must have a null move", lineno)
-            if states:
-                k = len(states[0].lions)
-                if len(lions) != k or len(move) != k:
-                    raise ParseError(f"trace record has {len(lions)} lions and a move for "
-                                     f"{len(move)}, the first record has {k} lions", lineno)
-                moves.append(tuple(move))
-            states.append(SimState(t, tuple(lions), tuple(cleared)))
-    if not states:
+            if raw.strip():
+                k = len(records[0][0].lions) if records else None
+                records.append(_parse_record(raw, lineno, len(records), k))
+    if not records:
         raise ParseError("trace has no records", 1)
-    return Trace(tuple(states), tuple(moves))
+    states, moves = zip(*records)
+    return Trace(states, moves[1:])
+
+
+def _parse_record(line: str, lineno: int, t: int, k) -> tuple:
+    """(SimState, move tuple or None) of record t from its non-blank line: a
+    record breaking read_trace's rules, k the first record's lions, raises ParseError."""
+    try:
+        rec = json.loads(line.strip())
+        time, lions, cleared, move = rec["t"], rec["lions"], rec["cleared"], rec["move"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ParseError(f"bad trace record: {exc}", lineno) from None
+    if not (_is_int_list(lions) and _is_int_list(cleared)
+            and (move is None or _is_int_list(move))):
+        raise ParseError("trace record lions, cleared and move must be lists of integers",
+                         lineno)
+    if not all(map(operator.lt, cleared, cleared[1:])):
+        raise ParseError("trace record cleared must be strictly increasing", lineno)
+    if type(time) is not int or time != t:
+        raise ParseError(f"trace record t={time!r} should be t={t}", lineno)
+    if (move is None) != (t == 0):
+        raise ParseError("the t=0 record, and no other, must have a null move", lineno)
+    if t and (len(lions) != k or len(move) != k):
+        raise ParseError(f"trace record has {len(lions)} lions and a move for "
+                         f"{len(move)}, the first record has {k} lions", lineno)
+    return SimState(t, tuple(lions), tuple(cleared)), move if move is None else tuple(move)
+
+
+def _tail_move(raw: str):
+    """The move a write_trace line ends with if it is a list of integers, else None."""
+    try:
+        move = json.loads(raw[raw.rindex('"move": ') + len('"move": '):raw.rindex("]") + 1])
+    except ValueError:
+        return None
+    return move if _is_int_list(move) else None
 
 
 def _is_int_list(value) -> bool:

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import dynamics, graphs
-from .dynamics import STAY, Trace, initial_state, run
+from .dynamics import STAY, SimState, Trace, initial_state, run
+from .errors import ParseError
 from .graphs import Graph, check_vertices, has_odd_cycle, is_connected, mask_vertices, vertex_mask
 
 
@@ -355,63 +356,81 @@ _BROKEN_RULES = {"not-adjacent": "is not a step to adjacent vertices",
                  "politeness": "moves more than one polite lion"}
 
 
-def verify_lemma_bounds(g: Graph, trace: Trace, model: str = "free") -> LemmaReport:
-    """Replay the trace from initial_state (an unknown model, a lion off the
-    graph in any record, or a move for another number of lions, raises
-    ValueError): the first record whose move validate_moves rejects under
+def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
+    """Replay a trace, a Trace or the lines of a write_trace file, from
+    initial_state: the first record whose move validate_moves rejects under
     the motion model, or whose lions or cleared set differ from the replay,
     is a "replay" violation.  Also check, with k the lion count and
-    |boundary(C(t))| = |C(t)| - |Safe|, Safe being computed on every step and
-    handed to the replay's step_cleared_mask, |C(t+1)| - |C(t)| <= k and that
+    |boundary(C(t))| = |C(t)| - |Safe|, Safe being the interior that each
+    step hands step_cleared_mask, |C(t+1)| - |C(t)| <= k and that
     |boundary(C(t))| >= 2k forces |C(t+1)| <= |C(t)|: proved facts, so a
     violation means an engine bug or an edited trace.
 
-    Record 0's cleared set becomes a mask in full; each later mask is the
-    previous one with the two records' symmetric difference flipped, a few
-    vertices a step (at most k gained), read off one running set of the
-    previous record's vertices, so each record's tuple is hashed once.
-    vertex_mask range-checks each vertex where it first enters a record,
-    before it becomes a bit, so a forged vertex such as 10**12 raises
-    ValueError without a huge mask.
-    """
+    While the replay agrees with the trace, the move at a line's end is
+    stepped, and a line equal to write_trace's rendering of the replayed
+    record is not parsed.  read_trace's record parser takes any other line,
+    whose mask is the last one with their difference flipped.  A ParseError
+    wins over a lion off the graph, that over a cleared vertex off it (both
+    ValueError), and either over the report.  A Trace is read as rendered."""
     if model not in dynamics.MODELS:  # validate_moves checks it only on a replayed move
         raise ValueError(f"unknown motion model {model!r}")
-    states = trace.states
-    check_vertices(g, itertools.chain.from_iterable(s.lions for s in states))
-    start = initial_state(g, states[0].lions)
-    k = len(start.lions)
-    replaying = states[0].cleared == start.cleared
-    violations = [] if replaying else [(states[0].time, "replay", "cleared set is not the lions'")]
-    cleared = vertex_mask(states[0].cleared, g.n)
-    members = set(states[0].cleared)
-    for mv, a, b in zip(trace.moves, states, states[1:]):
-        flipped = members.symmetric_difference(b.cleared)
-        members ^= flipped
-        next_cleared = cleared ^ vertex_mask(flipped, g.n)
-        growth = next_cleared.bit_count() - cleared.bit_count()
-        safe = graphs._interior_mask(g.neighbor_masks, cleared)
-        if growth > k:
-            violations.append((a.time, "growth-bound", f"|C| grew by {growth} > k={k}"))
-        if growth > 0 and cleared.bit_count() - safe.bit_count() >= 2 * k:
-            violations.append((a.time, "boundary-stall",
-                               f"boundary >= 2k={2 * k} yet |C| grew by {growth}"))
-        if replaying:  # until the first divergence, record a is the replayed state
-            broken = dynamics.validate_moves(g, model, a, mv)
-            if broken:
-                detail = f"move {list(mv)} " + " and ".join(
-                    dict.fromkeys(_BROKEN_RULES[reason] for _, reason in broken))
-            else:
-                positions, replayed = dynamics.step_cleared_mask(g.neighbor_masks, a.lions,
-                                                                 cleared, safe, mv)
-                if positions != b.lions:
-                    detail = f"lions {list(b.lions)}, replay gives {list(positions)}"
-                elif replayed != next_cleared:
-                    detail = f"cleared {list(b.cleared)}, " \
-                             f"replay gives {list(mask_vertices(replayed))}"
+    text, masks = dynamics._VertexText(), g.neighbor_masks
+    if isinstance(trace, Trace):
+        trace = map(text.line, trace.states, (None, *trace.moves))
+    violations, off_lions, off_cleared, members, cleared = [], [], [], set(), 0
+    replaying, t, k = False, 0, None
+    for lineno, raw in enumerate(trace, start=1):
+        b, detail = None, ""
+        mv = dynamics._tail_move(raw) if replaying else None
+        if mv is not None and len(mv) == k and not dynamics.validate_moves(g, model, a, mv):
+            positions, next_cleared = dynamics.step_cleared_mask(masks, a.lions, cleared, safe, mv)
+            flipped = mask_vertices(cleared ^ next_cleared)
+            members.symmetric_difference_update(flipped)
+            b = SimState(t, positions, tuple(sorted(members)))
+            if text.line(b, mv) != raw:  # not the replayed record: parse the line
+                members.symmetric_difference_update(flipped)
+                b = None
+        if b is None:
+            if not raw.strip():
+                continue
+            b, mv = dynamics._parse_record(raw, lineno, t, k)
+            k = len(b.lions)
+            off_lions = off_lions or [v for v in b.lions if not 0 <= v < g.n]
+            if not (off_lions or off_cleared):  # range-check each vertex as it enters
+                flipped = members.symmetric_difference(b.cleared) if t else b.cleared
+                off_cleared = [v for v in flipped if not 0 <= v < g.n]
+                next_cleared = cleared ^ vertex_mask(() if off_cleared else flipped, g.n)
+                members.symmetric_difference_update(flipped)
+            if off_lions or off_cleared:
+                replaying = False
+            elif not t:
+                replaying = b.cleared == initial_state(g, b.lions).cleared
+                detail = "" if replaying else "cleared set is not the lions'"
+            elif replaying:  # record a is the replayed one
+                broken = dynamics.validate_moves(g, model, a, mv)
+                if broken:
+                    detail = f"move {list(mv)} " + " and ".join(
+                        dict.fromkeys(_BROKEN_RULES[reason] for _, reason in broken))
                 else:
-                    detail = ""
+                    positions, mask = dynamics.step_cleared_mask(masks, a.lions, cleared, safe, mv)
+                    if positions != b.lions:
+                        detail = f"lions {list(b.lions)}, replay gives {list(positions)}"
+                    elif mask != next_cleared:
+                        detail = f"cleared {list(b.cleared)}, " \
+                                 f"replay gives {list(mask_vertices(mask))}"
+        if not (off_lions or off_cleared):
+            growth = next_cleared.bit_count() - cleared.bit_count()
+            if t and growth > k:
+                violations.append((a.time, "growth-bound", f"|C| grew by {growth} > k={k}"))
+            if t and growth > 0 and cleared.bit_count() - safe.bit_count() >= 2 * k:
+                violations.append((a.time, "boundary-stall",
+                                   f"boundary >= 2k={2 * k} yet |C| grew by {growth}"))
             if detail:
                 violations.append((b.time, "replay", detail))
                 replaying = False
-        cleared = next_cleared
-    return LemmaReport(tuple(violations), len(states) - 1)
+            cleared, safe = next_cleared, graphs._interior_mask(masks, next_cleared)
+        a, t = b, t + 1
+    if not t:
+        raise ParseError("trace has no records", 1)
+    check_vertices(g, off_lions + off_cleared)  # the first lion off the graph, else vertex
+    return LemmaReport(tuple(violations), t - 1)

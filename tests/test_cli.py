@@ -1,13 +1,22 @@
 import argparse
+import contextlib
+import io
 import json
+import random
 import re
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import row_sweep_14_48
+from conftest import random_connected_graph, row_sweep_14_48
+from lionsweep import dynamics
 from lionsweep.cli import build_parser, main
-from lionsweep.dynamics import STAY, run, write_moves, write_trace
+from lionsweep.dynamics import (MODELS, STAY, initial_state, read_trace, run, step, write_moves,
+                                write_trace)
 from lionsweep.graphs import build_tri_lattice, load_graph, save_graph
+from lionsweep.search import verify_lemma_bounds
 
 
 @pytest.fixture
@@ -333,6 +342,142 @@ def test_verify_rejects_misplaced_moves_and_times(tmp_path, capsys, records):
     capsys.readouterr()
     assert main(["verify", str(r2), "--trace", str(trace)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, message", [
+    # a lion off the graph on line 2 and a malformed line 3: the parse error wins
+    (['{"t": 1, "lions": [9], "cleared": [0], "move": [1]}', "not json"],
+     "line 3: bad trace record: Expecting value: line 1 column 1 (char 0)"),
+    # a move for two of the one lion
+    (['{"t": 1, "lions": [1], "cleared": [1], "move": [1, 2]}'],
+     "line 2: trace record has 1 lions and a move for 2, the first record has 1 lions"),
+    # a replay violation on line 2, then a move for two lions
+    (['{"t": 1, "lions": [1], "cleared": [0, 1], "move": [1]}',
+      '{"t": 2, "lions": [1], "cleared": [1], "move": [-1, -1]}'],
+     "line 3: trace record has 1 lions and a move for 2, the first record has 1 lions"),
+    # a cleared vertex off the graph on line 2, a lion off it on line 3: the lion wins
+    (['{"t": 1, "lions": [1], "cleared": [1, 7], "move": [1]}',
+      '{"t": 2, "lions": [9], "cleared": [1], "move": [-1]}'],
+     "vertex 9 not in graph with 4 vertices"),
+    # a replay violation on line 2, a cleared vertex off the graph on line 3
+    (['{"t": 1, "lions": [1], "cleared": [0, 1], "move": [1]}',
+      '{"t": 2, "lions": [1], "cleared": [1, 7], "move": [-1]}'],
+     "vertex 7 not in graph with 4 vertices"),
+])
+def test_verify_fault_precedence(tmp_path, capsys, lines, message):
+    """A trace with two faults is refused for the one verify has always
+    reported: a parse error anywhere, else a lion off the graph in any
+    record, else a cleared vertex off it, each over a replay violation."""
+    r2 = tmp_path / "r2.txt"
+    main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
+    trace = tmp_path / "two_faults.jsonl"
+    trace.write_text("".join(line + "\n" for line in
+                             ['{"t": 0, "lions": [0], "cleared": [0], "move": null}', *lines]))
+    capsys.readouterr()
+    assert main(["verify", str(r2), "--trace", str(trace)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _verify_the_old_way(g, path, model):
+    """cmd_verify's exit code, stdout and stderr with the whole trace read
+    into a Trace by read_trace first."""
+    try:
+        report = verify_lemma_bounds(g, read_trace(path), model)
+    except ValueError as exc:
+        return 2, "", f"error: {exc}\n"
+    if report.ok:
+        return 0, f"0 violations over {report.steps_checked} steps\n", ""
+    return 10, "".join(f"t={t} {lemma}: {detail}\n" for t, lemma, detail in report.violations), ""
+
+
+# each a trace file's text from its records' JSON objects
+_SPELLINGS = {
+    "canonical": lambda recs: "".join(json.dumps(r) + "\n" for r in recs),
+    "compact": lambda recs: "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in recs),
+    "reordered": lambda recs: "".join(json.dumps(dict(reversed(r.items()))) + "\n"
+                                      for r in recs),
+    "crlf": lambda recs: "".join(json.dumps(r) + "\r\n" for r in recs),
+    "blank lines": lambda recs: "\n \n".join(json.dumps(r) for r in recs) + "\n\n",
+    "no final newline": lambda recs: "\n".join(json.dumps(r) for r in recs),
+}
+
+
+def _forge(rng, g, records, forgery):
+    """Edit one record at a random t in place."""
+    rec = records[rng.randrange(len(records))]
+    cleared = rec["cleared"]
+    if forgery == "flip a cleared vertex":
+        rec["cleared"] = sorted(set(cleared) ^ {rng.randrange(g.n)})
+    elif forgery == "move a lion":
+        i = rng.randrange(len(rec["lions"]))
+        rec["lions"][i] = rng.choice([v for v in range(g.n) if v != rec["lions"][i]])
+    elif forgery == "true or 2.0 as a vertex":
+        cleared[rng.randrange(len(cleared))] = rng.choice([True, 2.0])
+    elif forgery == "unsorted cleared list":
+        rec["cleared"] = cleared[::-1] if len(cleared) > 1 else cleared * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from(sorted(_SPELLINGS)),
+       st.sampled_from(["none", "flip a cleared vertex", "move a lion",
+                        "true or 2.0 as a vertex", "unsorted cleared list"]),
+       st.sampled_from(MODELS))
+def test_streamed_verify_matches_read_trace_then_verify(tmp_path_factory, seed, spelling,
+                                                        forgery, model):
+    """verify reads a trace line by line and parses only the lines that are
+    not the replay's own rendering: on random graphs, for canonical and other
+    spellings of the same records, clean or with one forged record, its exit
+    code and output equal those of read_trace followed by verify_lemma_bounds."""
+    rng = random.Random(seed)
+    g = random_connected_graph(rng, 2, 9)
+    lions = tuple(rng.randrange(g.n) for _ in range(rng.randint(1, 3)))
+    state, moves = initial_state(g, lions), []
+    for _ in range(rng.randint(0, 8)):
+        moves.append(tuple(rng.choice([STAY] + sorted(g.adj[p])) for p in state.lions))
+        state = step(g, state, moves[-1])
+    tr = run(g, "free", lions, moves)
+    records = [{"t": s.time, "lions": list(s.lions), "cleared": list(s.cleared),
+                "move": list(tr.moves[s.time - 1]) if s.time else None} for s in tr.states]
+    if forgery != "none":
+        _forge(rng, g, records, forgery)
+    path = tmp_path_factory.mktemp("verify")
+    graph, trace = path / "g.txt", path / "trace.jsonl"
+    save_graph(g, graph)
+    trace.write_bytes(_SPELLINGS[spelling](records).encode())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(graph), "--trace", str(trace), "--model", model])
+    assert (code, out.getvalue(), err.getvalue()) == _verify_the_old_way(g, trace, model)
+    if forgery == "none" and model == "free":
+        assert code == 0
+
+
+def test_verify_parses_only_record_0_of_the_largest_sweep(tmp_path, capsys, monkeypatch):
+    """On the R_{14,48} row-sweep trace every line after record 0 is the
+    replay's own rendering, so verify parses record 0 alone, and it holds a
+    fraction of the 8 MiB that read_trace's whole Trace may take."""
+    g, starts, plan = row_sweep_14_48()
+    graph, trace = tmp_path / "r14_48.txt", tmp_path / "sweep.jsonl"
+    save_graph(g, graph)
+    write_trace(run(g, "free", starts, plan.moves), trace)
+    parsed = []
+    parse_record = dynamics._parse_record
+
+    def counted(line, lineno, t, k):
+        parsed.append(t)
+        return parse_record(line, lineno, t, k)
+
+    monkeypatch.setattr(dynamics, "_parse_record", counted)
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(graph), "--trace", str(trace)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == f"0 violations over {len(plan.moves)} steps\n"
+    assert parsed == [0]
+    assert peak < 2 * 2 ** 20
 
 
 def test_simulate_rejects_boolean_moves(tmp_path):

@@ -519,15 +519,17 @@ def test_verify_lemma_bounds_on_row_sweep_trace():
 
 def test_run_and_verify_convert_only_each_step_difference(monkeypatch):
     """run builds each record from the one before and the step's symmetric
-    difference, and verify each mask likewise: on the R_{14,48} row sweep,
-    run's mask_vertices calls convert sum_t |C(t) ^ C(t+1)| bits and verify's
-    vertex_mask calls |C(0)| more elements, not sum_t |C(t)|. step from a
-    mid-sweep record converts |C(t) ^ C(t+1)| bits out, not all of C(t+1)."""
+    difference, and verify's replay likewise: on the R_{14,48} row sweep,
+    run's mask_vertices calls convert sum_t |C(t) ^ C(t+1)| bits, and verify
+    converts record 0 with vertex_mask and then each step's difference with
+    mask_vertices, |C(0)| + sum_t |C(t) ^ C(t+1)| vertices, not sum_t |C(t)|.
+    step from a mid-sweep record converts |C(t) ^ C(t+1)| bits out, not all
+    of C(t+1)."""
     g, starts, plan = row_sweep_14_48()
     converted = {"run": 0, "verify": 0}
 
-    def counted_mask_vertices(mask):
-        converted["run"] += mask.bit_count()
+    def counted_mask_vertices(mask, caller="run"):
+        converted[caller] += mask.bit_count()
         return mask_vertices(mask)
 
     def counted_vertex_mask(vertices, n):
@@ -536,6 +538,8 @@ def test_run_and_verify_convert_only_each_step_difference(monkeypatch):
         return vertex_mask(vertices, n)
 
     monkeypatch.setattr(dynamics, "mask_vertices", counted_mask_vertices)
+    monkeypatch.setattr(search, "mask_vertices",
+                        lambda mask: counted_mask_vertices(mask, "verify"))
     monkeypatch.setattr(search, "vertex_mask", counted_vertex_mask)
     tr = run(g, "free", starts, plan.moves)
     assert verify_lemma_bounds(g, tr).ok
@@ -565,8 +569,7 @@ def test_verify_flags_a_boundary_stall():
     """On R_{3,3}, C(0) = {0, 1} has the boundary {0, 1} of size 2k for k = 1,
     yet the forged next record grows it: a boundary-stall at t=0, next to the
     replay violation of a t=0 cleared set that is not the lions'."""
-    forged = Trace((SimState(0, (0,), frozenset({0, 1})),
-                    SimState(1, (1,), frozenset({0, 1, 2}))), ((1,),))
+    forged = Trace((SimState(0, (0,), (0, 1)), SimState(1, (1,), (0, 1, 2))), ((1,),))
     report = verify_lemma_bounds(R3, forged)
     assert [(t, lemma) for t, lemma, _ in report.violations] == [(0, "replay"),
                                                                  (0, "boundary-stall")]
