@@ -35,9 +35,11 @@ vertices, the order write_trace writes and read_trace checks: one pointer a
 vertex, where a frozenset's hash table costs several.  run() and verify
 convert only a step's difference C(t) ^ C(t+1) from mask to vertices (k lions
 add at most k vertices a step, and on the sweeps and walls of R_{n,l} a step
-loses few), flip it in one running set and sort that into the next record's
-tuple in C; step() is that fold over one move.  verify renders each replayed
-record as write_trace does and parses no line equal to that text.
+loses few) and insert or delete each of those vertices, found by bisection,
+in one running increasing list, which run() copies into the next record's
+tuple without a sort; step() is that fold over one move.  verify keeps each
+vertex's text in a parallel list, renders each replayed record as
+write_trace does by joining it, and parses no line equal to that text.
 
 The search expands a whole state at once: it takes Safe from
 graphs._interior_mask once per state and reads every successor off its move
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -167,22 +170,23 @@ def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
 
 def _fold(g: Graph, model: str, state: SimState, moves: Iterable) -> Iterator[SimState]:
     """The records after state, one per move step (a tuple), on one cleared
-    mask and one running set of its vertices. Each step is validated against
-    the model, and the vertices of the step's mask difference are flipped in
-    the running set, so a step converts the few vertices that changed, not
-    all of C; each record's tuple is that set sorted."""
+    mask and one running increasing list of its vertices. Each step is
+    validated against the model, and the vertices of the step's mask
+    difference are flipped in the list, so a step converts and moves the few
+    vertices that changed, not all of C; each record's tuple is a copy of
+    the list, which needs no sort."""
     adj_masks = g.neighbor_masks
     cleared = vertex_mask(state.cleared, g.n)
-    members = set(state.cleared)
+    members = _SortedVertices(state.cleared)
     for mv in moves:
         violations = validate_moves(g, model, state, mv)
         if violations:
             raise InvalidMoveError(state.time, violations)
         positions, new = step_cleared_mask(adj_masks, state.lions, cleared,
                                            _interior_mask(adj_masks, cleared), mv)
-        members.symmetric_difference_update(mask_vertices(cleared ^ new))
+        members.flip(mask_vertices(cleared ^ new))
         cleared = new
-        state = SimState(state.time + 1, positions, tuple(sorted(members)))
+        state = SimState(state.time + 1, positions, tuple(members.order))
         yield state
 
 
@@ -209,12 +213,42 @@ class _VertexText(dict):
         text = self[v] = str(v)
         return text
 
-    def line(self, s: SimState, move) -> str:
-        """The one rendering of a trace record, newline included; move is None at t=0."""
+    def line(self, s: SimState, move, cleared: Optional[str] = None) -> str:
+        """The one rendering of a trace record, newline included; move is None
+        at t=0, and cleared, if given, is the text between the brackets of
+        s.cleared's list."""
         text, join = self.__getitem__, ", ".join
         move = "null" if move is None else f"[{join(map(text, move))}]"
+        if cleared is None:
+            cleared = join(map(text, s.cleared))
         return (f'{{"t": {s.time}, "lions": [{join(map(text, s.lions))}], '
-                f'"cleared": [{join(map(text, s.cleared))}], "move": {move}}}\n')
+                f'"cleared": [{cleared}], "move": {move}}}\n')
+
+
+class _SortedVertices:
+    """A running cleared set edited in place, not rebuilt: its vertices as an
+    increasing list (order) and, given a _VertexText, their texts in a
+    parallel list (texts), so that ", ".join(texts) is the set's list text.
+    flip() finds each vertex it is given by bisection and deletes it if
+    present, else inserts it: O(log |C|) comparisons and one pointer move a
+    vertex, with no sort and no text made for the vertices it leaves alone."""
+
+    def __init__(self, vertices=(), text: Optional[_VertexText] = None):
+        self.order, self._text = list(vertices), text
+        self.texts = None if text is None else list(map(text.__getitem__, self.order))
+
+    def flip(self, vertices) -> None:
+        order, texts = self.order, self.texts
+        for v in vertices:
+            i = bisect_left(order, v)
+            if i < len(order) and order[i] == v:
+                del order[i]
+                if texts is not None:
+                    del texts[i]
+            else:
+                order.insert(i, v)
+                if texts is not None:
+                    texts.insert(i, self._text[v])
 
 
 def write_trace(tr: Trace, path) -> None:
@@ -276,12 +310,24 @@ def _parse_record(line: str, lineno: int, t: int, k) -> tuple:
 
 
 def _tail_move(raw: str):
-    """The move a write_trace line ends with if it is a list of integers, else None."""
+    """The move a write_trace line ends with, as a list of ints, or None.
+
+    The text between the brackets after the last '"move": ' is split on ", "
+    and read by int(), with no JSON parse, so it also takes spellings that
+    JSON refuses or reads otherwise, such as +3, 03, 1_0 or " 3" (and "" is
+    the k = 0 move []).  verify uses the move only to step the replay and
+    compares the line with the replayed record's rendering, which spells
+    every int as write_trace does; a misread line differs from it and goes
+    to _parse_record, so the parse decides nothing on its own."""
+    head = raw.rfind('"move": [')
+    tail = raw.find("]", head)
+    if head < 0 or tail < 0:
+        return None
+    body = raw[head + len('"move": ['):tail]
     try:
-        move = json.loads(raw[raw.rindex('"move": ') + len('"move": '):raw.rindex("]") + 1])
+        return list(map(int, body.split(", "))) if body else []
     except ValueError:
         return None
-    return move if _is_int_list(move) else None
 
 
 def _is_int_list(value) -> bool:

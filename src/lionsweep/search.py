@@ -368,16 +368,20 @@ def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
 
     While the replay agrees with the trace, the move at a line's end is
     stepped, and a line equal to write_trace's rendering of the replayed
-    record is not parsed.  read_trace's record parser takes any other line,
-    whose mask is the last one with their difference flipped.  A ParseError
-    wins over a lion off the graph, that over a cleared vertex off it (both
-    ValueError), and either over the report.  A Trace is read as rendered."""
+    record is not parsed.  That rendering joins a running list of the
+    cleared vertices' texts, edited at the step's difference, so a record
+    costs no sort and no text for its unchanged vertices.  read_trace's
+    record parser takes any other line, whose mask is the last one with
+    their difference flipped.  A ParseError wins over a lion off the graph,
+    that over a cleared vertex off it (both ValueError), and either over
+    the report.  A Trace is read as rendered."""
     if model not in dynamics.MODELS:  # validate_moves checks it only on a replayed move
         raise ValueError(f"unknown motion model {model!r}")
     text, masks = dynamics._VertexText(), g.neighbor_masks
     if isinstance(trace, Trace):
         trace = map(text.line, trace.states, (None, *trace.moves))
     violations, off_lions, off_cleared, members, cleared = [], [], [], set(), 0
+    listed = dynamics._SortedVertices(text=text)  # members in order, with their texts
     replaying, t, k = False, 0, None
     for lineno, raw in enumerate(trace, start=1):
         b, detail = None, ""
@@ -386,9 +390,11 @@ def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
             positions, next_cleared = dynamics.step_cleared_mask(masks, a.lions, cleared, safe, mv)
             flipped = mask_vertices(cleared ^ next_cleared)
             members.symmetric_difference_update(flipped)
-            b = SimState(t, positions, tuple(sorted(members)))
-            if text.line(b, mv) != raw:  # not the replayed record: parse the line
+            listed.flip(flipped)
+            b = SimState(t, positions, tuple(listed.order))
+            if text.line(b, mv, ", ".join(listed.texts)) != raw:  # not the replayed record
                 members.symmetric_difference_update(flipped)
+                listed.flip(flipped)
                 b = None
         if b is None:
             if not raw.strip():
@@ -401,6 +407,7 @@ def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
                 off_cleared = [v for v in flipped if not 0 <= v < g.n]
                 next_cleared = cleared ^ vertex_mask(() if off_cleared else flipped, g.n)
                 members.symmetric_difference_update(flipped)
+                listed.flip(flipped)
             if off_lions or off_cleared:
                 replaying = False
             elif not t:

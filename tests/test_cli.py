@@ -15,7 +15,7 @@ from lionsweep import dynamics
 from lionsweep.cli import build_parser, main
 from lionsweep.dynamics import (MODELS, STAY, initial_state, read_trace, run, step, write_moves,
                                 write_trace)
-from lionsweep.graphs import build_tri_lattice, load_graph, save_graph
+from lionsweep.graphs import build_tri_lattice, load_graph, make_graph, save_graph
 from lionsweep.search import verify_lemma_bounds
 
 
@@ -402,10 +402,34 @@ _SPELLINGS = {
 }
 
 
+# spellings of a move target v that write_trace never writes: for v >= 0
+# int() reads the first four as v, and JSON refuses all but " v" (which it
+# reads as v); both parses refuse v.0 and true as ints
+_MOVE_SPELLINGS = {
+    "+3": lambda v: f"+{v}",
+    " 3": lambda v: f" {v}",
+    "03": lambda v: f"-0{-v}" if v < 0 else f"0{v}",
+    "1_0": lambda v: "{}_{}".format(*divmod(v, 10)),
+    "3.0": lambda v: f"{v}.0",
+    "true": lambda v: "true",
+}
+
+
+def _respell(text):
+    """A trace's text with each placeholder "<spelling>" of a forged move
+    target replaced by the bare spelling."""
+    return re.sub(r'"<([^<>"]*)>"', r"\1", text)
+
+
 def _forge(rng, g, records, forgery):
     """Edit one record at a random t in place."""
     rec = records[rng.randrange(len(records))]
     cleared = rec["cleared"]
+    if forgery.startswith("move target as "):
+        targets = [(r["move"], i) for r in records[1:] for i in range(len(r["move"]))]
+        if targets:
+            move, i = rng.choice([(m, i) for m, i in targets if m[i] != STAY] or targets)
+            move[i] = f"<{_MOVE_SPELLINGS[forgery[len('move target as '):]](move[i])}>"
     if forgery == "flip a cleared vertex":
         rec["cleared"] = sorted(set(cleared) ^ {rng.randrange(g.n)})
     elif forgery == "move a lion":
@@ -417,17 +441,33 @@ def _forge(rng, g, records, forgery):
         rec["cleared"] = cleared[::-1] if len(cleared) > 1 else cleared * 2
 
 
+def _verify_both_ways(tmp_path_factory, g, text, model):
+    """(cmd_verify's exit code, stdout and stderr on a trace file of the
+    given text, the same read by read_trace and then verify_lemma_bounds)."""
+    path = tmp_path_factory.mktemp("verify")
+    graph, trace = path / "g.txt", path / "trace.jsonl"
+    save_graph(g, graph)
+    trace.write_bytes(text.encode())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(graph), "--trace", str(trace), "--model", model])
+    return (code, out.getvalue(), err.getvalue()), _verify_the_old_way(g, trace, model)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from(sorted(_SPELLINGS)),
        st.sampled_from(["none", "flip a cleared vertex", "move a lion",
-                        "true or 2.0 as a vertex", "unsorted cleared list"]),
+                        "true or 2.0 as a vertex", "unsorted cleared list",
+                        *(f"move target as {s}" for s in _MOVE_SPELLINGS)]),
        st.sampled_from(MODELS))
 def test_streamed_verify_matches_read_trace_then_verify(tmp_path_factory, seed, spelling,
                                                         forgery, model):
     """verify reads a trace line by line and parses only the lines that are
     not the replay's own rendering: on random graphs, for canonical and other
-    spellings of the same records, clean or with one forged record, its exit
-    code and output equal those of read_trace followed by verify_lemma_bounds."""
+    spellings of the same records, clean or with one forged record (among
+    them a move target that verify's int() parse of a move reads otherwise
+    than JSON does), its exit code and output equal those of read_trace
+    followed by verify_lemma_bounds."""
     rng = random.Random(seed)
     g = random_connected_graph(rng, 2, 9)
     lions = tuple(rng.randrange(g.n) for _ in range(rng.randint(1, 3)))
@@ -440,16 +480,56 @@ def test_streamed_verify_matches_read_trace_then_verify(tmp_path_factory, seed, 
                 "move": list(tr.moves[s.time - 1]) if s.time else None} for s in tr.states]
     if forgery != "none":
         _forge(rng, g, records, forgery)
-    path = tmp_path_factory.mktemp("verify")
-    graph, trace = path / "g.txt", path / "trace.jsonl"
-    save_graph(g, graph)
-    trace.write_bytes(_SPELLINGS[spelling](records).encode())
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["verify", str(graph), "--trace", str(trace), "--model", model])
-    assert (code, out.getvalue(), err.getvalue()) == _verify_the_old_way(g, trace, model)
+    streamed, old_way = _verify_both_ways(tmp_path_factory, g,
+                                          _respell(_SPELLINGS[spelling](records)), model)
+    assert streamed == old_way
     if forgery == "none" and model == "free":
-        assert code == 0
+        assert streamed[0] == 0
+
+
+@pytest.mark.parametrize("spelling", sorted(_MOVE_SPELLINGS))
+def test_verify_reads_respelled_moves_as_read_trace_does(tmp_path_factory, spelling):
+    """verify reads a move by splitting it on ", " and calling int(), which
+    takes [+3], [ 3], [03] and [1_0] (JSON reads [ 3] alone, as [3]) and
+    refuses [3.0] and [true]; the replayed record's rendering spells each
+    target as write_trace does, so a canonical line whose move is so spelled
+    differs from it and is parsed, and the exit code and output are those of
+    read_trace followed by verify_lemma_bounds.  On the path 0-...-11 one
+    lion steps from 2 to 3, or, for 1_0, from 9 to 10."""
+    g = make_graph(12, [(v, v + 1) for v in range(11)])
+    start, target = (9, 10) if spelling == "1_0" else (2, 3)
+    tr = run(g, "free", (start,), [(target,)])
+    records = [{"t": s.time, "lions": list(s.lions), "cleared": list(s.cleared),
+                "move": [f"<{_MOVE_SPELLINGS[spelling](target)}>"] if s.time else None}
+               for s in tr.states]
+    text = _respell(_SPELLINGS["canonical"](records))
+    assert f'"move": [{spelling}]' in text
+    streamed, old_way = _verify_both_ways(tmp_path_factory, g, text, "free")
+    assert streamed == old_way
+    assert streamed[0] == (0 if spelling == " 3" else 2)
+
+
+def test_verify_takes_the_fast_path_with_no_lions(tmp_path_factory, monkeypatch):
+    """A trace of k = 0 lions has "move": [] after record 0: _tail_move reads
+    it as [], so verify replays it and parses record 0 alone."""
+    g = make_graph(3, [(0, 1), (1, 2)])
+    path = tmp_path_factory.mktemp("no-lions") / "trace.jsonl"
+    write_trace(run(g, "free", (), [(), ()]), path)
+    text = path.read_text(encoding="utf-8")
+    assert text.count('"move": []') == 2
+    assert dynamics._tail_move(text.splitlines()[1]) == []
+    streamed, old_way = _verify_both_ways(tmp_path_factory, g, text, "caffeinated")
+    assert streamed == old_way == (0, "0 violations over 2 steps\n", "")
+    parsed = []
+    parse_record = dynamics._parse_record
+
+    def counted(line, lineno, t, k):
+        parsed.append(t)
+        return parse_record(line, lineno, t, k)
+
+    monkeypatch.setattr(dynamics, "_parse_record", counted)
+    assert verify_lemma_bounds(g, text.splitlines(keepends=True), "caffeinated").ok
+    assert parsed == [0]
 
 
 def test_verify_parses_only_record_0_of_the_largest_sweep(tmp_path, capsys, monkeypatch):

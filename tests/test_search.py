@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_connected_graph, row_sweep_14_48, small_graphs
 from lionsweep import dynamics, search
 from lionsweep.dynamics import (STAY, SimState, Trace, initial_state, is_swept, run, step,
-                                step_cleared_mask, validate_moves)
+                                step_cleared_mask, validate_moves, write_trace)
 from lionsweep.graphs import (_interior_mask, boundary_size_mask, build_circulant,
                               build_square_grid, build_tri_lattice, build_triangle, is_connected,
                               make_graph, mask_vertices, vertex_mask)
@@ -551,6 +551,46 @@ def test_run_and_verify_convert_only_each_step_difference(monkeypatch):
     converted["run"] = 0
     assert step(g, a, tr.moves[1000]) == b
     assert 0 < converted["run"] == len(set(a.cleared) ^ set(b.cleared)) < len(b.cleared) // 50
+
+
+def test_run_and_verify_sort_no_record_and_render_only_each_step_difference(monkeypatch,
+                                                                          tmp_path):
+    """run and verify edit one increasing list of the cleared vertices at
+    each step's difference, and verify keeps their texts beside it: on the
+    R_{14,48} row sweep nothing sorts more than the lions that
+    initial_state sorts, and verify on the trace file's lines looks up the
+    text of the |C(0)| + sum_t |C(t+1) - C(t)| cleared vertices that enter a
+    record (of the |C(0)| + sum_t |C(t) ^ C(t+1)| that it converts), plus
+    the k lions and k move targets of each replayed record, not the text of
+    all sum_t |C(t)| = 235,249 cleared vertices in the records."""
+    g, starts, plan = row_sweep_14_48()
+    tr = run(g, "free", starts, plan.moves)
+    write_trace(tr, tmp_path / "sweep.jsonl")
+    sorted_lengths, looked_up = [], [0]
+
+    def counted_sorted(iterable, **kwargs):
+        items = list(iterable)
+        sorted_lengths.append(len(items))
+        return sorted(items, **kwargs)
+
+    class CountedText(dynamics._VertexText):
+        def __getitem__(self, v):
+            looked_up[0] += 1
+            return super().__getitem__(v)
+
+    for module in (dynamics, search):
+        monkeypatch.setattr(module, "sorted", counted_sorted, raising=False)
+    monkeypatch.setattr(dynamics, "_VertexText", CountedText)
+    assert run(g, "free", starts, plan.moves) == tr
+    with open(tmp_path / "sweep.jsonl", encoding="utf-8") as lines:
+        assert verify_lemma_bounds(g, lines).ok
+    assert sorted_lengths and max(sorted_lengths) <= len(starts)
+    pairs = list(zip(tr.states, tr.states[1:]))
+    entering = sum(len(set(b.cleared) - set(a.cleared)) for a, b in pairs)
+    leaving = sum(len(set(a.cleared) - set(b.cleared)) for a, b in pairs)
+    assert (len(tr.states[0].cleared), entering, leaving) == (len(starts), 1316, 658)
+    assert looked_up[0] == len(starts) + entering + 2 * len(starts) * len(tr.moves)
+    assert sum(len(s.cleared) for s in tr.states) == 235_249
 
 
 def test_verify_lemma_bounds_flags_corrupted_trace():
