@@ -368,20 +368,20 @@ def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
 
     While the replay agrees with the trace, the move at a line's end is
     stepped, and a line equal to write_trace's rendering of the replayed
-    record is not parsed.  That rendering joins a running list of the
-    cleared vertices' texts, edited at the step's difference, so a record
-    costs no sort and no text for its unchanged vertices.  read_trace's
-    record parser takes any other line, whose mask is the last one with
-    their difference flipped.  A ParseError wins over a lion off the graph,
-    that over a cleared vertex off it (both ValueError), and either over
-    the report.  A Trace is read as rendered."""
+    record is not parsed.  That rendering joins the one running list of the
+    cleared vertices and their texts, edited at the step's difference, so a
+    record costs no sort and no text for its unchanged vertices.  read_trace's
+    record parser takes any other line, range-checked at the two ends of its
+    increasing cleared list.  A ParseError wins over a lion off the graph,
+    that over a cleared vertex off it, the record's smallest (both
+    ValueError), and either over the report.  A Trace is read as rendered."""
     if model not in dynamics.MODELS:  # validate_moves checks it only on a replayed move
         raise ValueError(f"unknown motion model {model!r}")
     text, masks = dynamics._VertexText(), g.neighbor_masks
     if isinstance(trace, Trace):
         trace = map(text.line, trace.states, (None, *trace.moves))
-    violations, off_lions, off_cleared, members, cleared = [], [], [], set(), 0
-    listed = dynamics._SortedVertices(text=text)  # members in order, with their texts
+    violations, off_lions, off_cleared, cleared = [], [], [], 0
+    listed = dynamics._SortedVertices(text=text)  # the bits of cleared in order, with texts
     replaying, t, k = False, 0, None
     for lineno, raw in enumerate(trace, start=1):
         b, detail = None, ""
@@ -389,11 +389,9 @@ def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
         if mv is not None and len(mv) == k and not dynamics.validate_moves(g, model, a, mv):
             positions, next_cleared = dynamics.step_cleared_mask(masks, a.lions, cleared, safe, mv)
             flipped = mask_vertices(cleared ^ next_cleared)
-            members.symmetric_difference_update(flipped)
             listed.flip(flipped)
             b = SimState(t, positions, tuple(listed.order))
             if text.line(b, mv, ", ".join(listed.texts)) != raw:  # not the replayed record
-                members.symmetric_difference_update(flipped)
                 listed.flip(flipped)
                 b = None
         if b is None:
@@ -402,12 +400,13 @@ def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
             b, mv = dynamics._parse_record(raw, lineno, t, k)
             k = len(b.lions)
             off_lions = off_lions or [v for v in b.lions if not 0 <= v < g.n]
-            if not (off_lions or off_cleared):  # range-check each vertex as it enters
-                flipped = members.symmetric_difference(b.cleared) if t else b.cleared
-                off_cleared = [v for v in flipped if not 0 <= v < g.n]
-                next_cleared = cleared ^ vertex_mask(() if off_cleared else flipped, g.n)
-                members.symmetric_difference_update(flipped)
-                listed.flip(flipped)
+            if not (off_lions or off_cleared):  # cleared increases, so its ends bound it
+                if b.cleared and not (0 <= b.cleared[0] and b.cleared[-1] < g.n):
+                    off_cleared = [v for v in b.cleared if not 0 <= v < g.n]
+                else:
+                    flipped = set(b.cleared).symmetric_difference(listed.order)
+                    next_cleared = cleared ^ vertex_mask(flipped, g.n)
+                    listed.flip(flipped)
             if off_lions or off_cleared:
                 replaying = False
             elif not t:

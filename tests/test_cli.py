@@ -242,16 +242,19 @@ def test_forged_move_targets_never_reach_the_kernel(tmp_path, capsys, target):
     assert "invalid move at step 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("vertex", [9, 10 ** 12])
-def test_verify_rejects_a_later_cleared_vertex_off_the_graph(tmp_path, capsys, vertex):
-    """verify range-checks record 0 in full and every later vertex where it
-    first enters a record, before it becomes a bit of a mask."""
+@pytest.mark.parametrize("cleared, vertex", [([1, 9], 9), ([1, 10 ** 12], 10 ** 12),
+                                              ([1, 7, 9], 7), ([-1, 1, 4], -1)],
+                         ids=["9", "1000000000000", "7_and_9", "-1_and_4"])
+def test_verify_rejects_a_later_cleared_vertex_off_the_graph(tmp_path, capsys, cleared, vertex):
+    """verify range-checks every record's cleared list, at its two ends as
+    it increases, before its vertices become bits of a mask; of several
+    vertices off the graph the error names the smallest."""
     r2 = tmp_path / "r2.txt"
     main(["graph", "tri", "-n", "2", "-l", "2", "-o", str(r2)])
     trace = tmp_path / "forged.jsonl"
     _write_records(trace, [{"t": 0, "lions": [0], "cleared": [0], "move": None},
                            {"t": 1, "lions": [1], "cleared": [1], "move": [1]},
-                           {"t": 2, "lions": [1], "cleared": [1, vertex], "move": [STAY]}])
+                           {"t": 2, "lions": [1], "cleared": cleared, "move": [STAY]}])
     capsys.readouterr()
     assert main(["verify", str(r2), "--trace", str(trace)]) == 2
     assert f"vertex {vertex} not in graph with 4 vertices" in capsys.readouterr().err
@@ -363,6 +366,9 @@ def test_verify_rejects_misplaced_moves_and_times(tmp_path, capsys, records):
     (['{"t": 1, "lions": [1], "cleared": [0, 1], "move": [1]}',
       '{"t": 2, "lions": [1], "cleared": [1, 7], "move": [-1]}'],
      "vertex 7 not in graph with 4 vertices"),
+    # a cleared vertex below the graph's range on line 2 and a malformed line 3
+    (['{"t": 1, "lions": [1], "cleared": [-2, 1], "move": [1]}', "not json"],
+     "line 3: bad trace record: Expecting value: line 1 column 1 (char 0)"),
 ])
 def test_verify_fault_precedence(tmp_path, capsys, lines, message):
     """A trace with two faults is refused for the one verify has always
