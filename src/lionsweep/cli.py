@@ -53,12 +53,9 @@ def cmd_simulate(args) -> int:
     g = graphs.load_graph(args.graph)
     lions = _parse_ints(args.lions)
     moves = dynamics.read_moves(args.moves)
-    trace = dynamics.run(g, args.model, lions, moves)
-    if args.trace_out:
-        dynamics.write_trace(trace, args.trace_out)
-    t = dynamics.is_swept(trace, g)
+    t = dynamics._simulate(g, args.model, lions, moves, args.trace_out)
     if t is None:
-        print(f"not swept within {len(trace.moves)} steps")
+        print(f"not swept within {len(moves)} steps")
         return EXIT_NEGATIVE
     print(f"swept at t={t}")
     return EXIT_OK

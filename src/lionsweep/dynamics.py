@@ -37,9 +37,10 @@ convert only a step's difference C(t) ^ C(t+1) from mask to vertices (k lions
 add at most k vertices a step, and on the sweeps and walls of R_{n,l} a step
 loses few) and insert or delete each of those vertices, found by bisection,
 in one running increasing list, which run() copies into the next record's
-tuple without a sort; step() is that fold over one move.  verify keeps each
-vertex's text in a parallel list, renders each replayed record as
-write_trace does by joining it, and parses no line equal to that text.
+tuple without a sort; step() is that fold over one move.  verify and
+simulate (_simulate) keep each vertex's text in a parallel list and render a
+record as write_trace does by joining it: verify parses no line equal to
+that text, and simulate holds the lines in place of the records.
 
 The search expands a whole state at once: it takes Safe from
 graphs._interior_mask once per state and reads every successor off its move
@@ -52,6 +53,7 @@ import json
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ParseError
@@ -168,16 +170,18 @@ def run(g: Graph, model: str, lions: Sequence, moves: Iterable) -> Trace:
     return Trace((start, *_fold(g, model, start, moves)), moves)
 
 
-def _fold(g: Graph, model: str, state: SimState, moves: Iterable) -> Iterator[SimState]:
+def _fold(g: Graph, model: str, state: SimState, moves: Iterable,
+          members: Optional[_SortedVertices] = None) -> Iterator[SimState]:
     """The records after state, one per move step (a tuple), on one cleared
-    mask and one running increasing list of its vertices. Each step is
-    validated against the model, and the vertices of the step's mask
-    difference are flipped in the list, so a step converts and moves the few
-    vertices that changed, not all of C; each record's tuple is a copy of
-    the list, which needs no sort."""
+    mask and one running increasing list of its vertices: members, if given
+    (it lists state.cleared, with or without texts). Each step is validated
+    against the model, and the vertices of the step's mask difference are
+    flipped in the list, so a step converts and moves the few vertices that
+    changed, not all of C; each record's tuple is a copy of the list, which
+    needs no sort, and the list is that record's when it is yielded."""
     adj_masks = g.neighbor_masks
     cleared = vertex_mask(state.cleared, g.n)
-    members = _SortedVertices(state.cleared)
+    members = _SortedVertices(state.cleared) if members is None else members
     for mv in moves:
         violations = validate_moves(g, model, state, mv)
         if violations:
@@ -188,6 +192,28 @@ def _fold(g: Graph, model: str, state: SimState, moves: Iterable) -> Iterator[Si
         cleared = new
         state = SimState(state.time + 1, positions, tuple(members.order))
         yield state
+
+
+def _simulate(g: Graph, model: str, lions: Sequence, moves: Sequence, path) -> Optional[int]:
+    """The sweep time of run(g, model, lions, moves), or None, in one pass
+    over _fold; with a path, also write_trace's file of that run, written
+    once every move has validated.  Each line joins the fold's running list
+    of cleared-vertex texts, so it looks up the text of its lions and move
+    and of no cleared vertex but those entering C; the lines are held in
+    place of the records, and no line is rendered without a path."""
+    start = initial_state(g, lions)
+    text = _VertexText() if path else None
+    listed = _SortedVertices(start.cleared, text)
+    lines, swept = [], None
+    for s, mv in zip(chain((start,), _fold(g, model, start, moves, listed)), (None, *moves)):
+        if swept is None and len(s.cleared) == g.n:
+            swept = s.time
+        if text is not None:
+            lines.append(text.line(s, mv, ", ".join(listed.texts)))
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+    return swept
 
 
 def is_swept(tr: Trace, g: Graph) -> Optional[int]:

@@ -91,6 +91,49 @@ def test_simulate_names_the_step_of_wrong_length(tmp_path, capsys):
     assert "invalid move at step 1: 2 targets for 1 lions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["not-adjacent", "wrong length"])
+@pytest.mark.parametrize("existing", [None, b"an earlier trace\n"])
+def test_simulate_writes_no_trace_for_a_late_invalid_move(tmp_path, r3_path, capsys, bad,
+                                                          existing):
+    """A row sweep of R_{3,3} whose last step is invalid exits 2 naming that
+    step, as before any line was rendered: it creates no trace file, and one
+    already at the path keeps its bytes."""
+    assert main(["strategy", "row-sweep", "-n", "3", "-l", "3", "-o",
+                 str(tmp_path / "sweep.txt")]) == 0
+    moves = dynamics.read_moves(tmp_path / "sweep.txt")
+    last = len(moves) - 1
+    positions = run(load_graph(r3_path), "free", (0, 3, 6), moves[:last]).final().lions
+    if bad == "not-adjacent":
+        moves[last] = (positions[0], *moves[last][1:])  # a lion's own vertex is no neighbor
+        message = f"invalid move at step {last}: [(0, 'not-adjacent')]"
+    else:
+        moves[last] = moves[last][:2]
+        message = f"invalid move at step {last}: 2 targets for 3 lions"
+    write_moves(moves, tmp_path / "moves.txt")
+    trace_out = tmp_path / "trace.jsonl"
+    if existing is not None:
+        trace_out.write_bytes(existing)
+    capsys.readouterr()
+    assert main(["simulate", str(r3_path), "--lions", "0,3,6", "--moves",
+                 str(tmp_path / "moves.txt"), "--trace-out", str(trace_out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert (trace_out.read_bytes() if trace_out.exists() else None) == existing
+
+
+def test_simulate_renders_no_line_without_trace_out(tmp_path, r3_path, capsys, monkeypatch):
+    moves = tmp_path / "moves.txt"
+    assert main(["strategy", "row-sweep", "-n", "3", "-l", "3", "-o", str(moves)]) == 0
+
+    def not_rendered(*args):
+        raise AssertionError("a line rendered with no --trace-out")
+
+    monkeypatch.setattr(dynamics._VertexText, "line", not_rendered)
+    capsys.readouterr()
+    assert main(["simulate", str(r3_path), "--lions", "0,3,6", "--moves", str(moves)]) == 0
+    assert capsys.readouterr().out.startswith("swept at t=")
+    assert sorted(tmp_path.iterdir()) == sorted([r3_path, moves])
+
+
 def test_simulate_not_swept(tmp_path, r3_path, capsys):
     moves = tmp_path / "moves.txt"
     write_moves([(STAY, STAY, STAY)], moves)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import tempfile
@@ -11,13 +13,14 @@ from hypothesis import strategies as st
 
 from conftest import (WIDE_GRAPHS, random_connected_graph, row_sweep_14_48, small_graphs,
                       wide_graph, wide_masks)
+from lionsweep import cli, dynamics
 from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, initial_state,
                                 is_monotone, is_swept, read_moves, read_trace, run,
                                 step, step_cleared_mask, validate_moves, write_moves,
                                 write_trace)
 from lionsweep.errors import ParseError
 from lionsweep.graphs import (_interior_mask, boundary, build_tri_lattice, make_graph,
-                              mask_vertices, vertex_mask)
+                              mask_vertices, save_graph, vertex_mask)
 
 PATH3 = make_graph(3, [(0, 1), (1, 2)])
 PATH2 = make_graph(2, [(0, 1)])
@@ -547,6 +550,94 @@ def test_largest_sweep_trace_is_its_json_rendering(tmp_path):
     write_trace(tr, path)
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == hashlib.sha256(json_trace_bytes(tr)).hexdigest())
+
+
+def simulate_cli(g, model, lions, moves) -> tuple:
+    """lionsweep simulate on files of g and moves, with --trace-out: its exit
+    code, its standard output and the trace file's bytes (None if it made none)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, moves_file, trace = (Path(tmp) / name for name in ("g.txt", "m.txt", "t.jsonl"))
+        save_graph(g, graph)
+        write_moves(moves, moves_file)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["simulate", str(graph), "--model", model,
+                             "--lions", ",".join(map(str, lions)), "--moves", str(moves_file),
+                             "--trace-out", str(trace)])
+        return code, out.getvalue(), trace.read_bytes() if trace.exists() else None
+
+
+@example((PATH3, "free", (), [(), ()]))  # k = 0: nothing is ever cleared
+@example((make_graph(0, []), "free", (), []))  # swept at t=0, a single record
+@example((PATH3, "free", (0,), [(1,), (STAY,)]))  # never swept
+@example((PATH3, "caffeinated", (0,), [(1,), (2,)]))  # swept at the last step
+@example((PATH3, "polite", (0, 2), [(STAY, STAY), (1, STAY), (STAY, 1)]))  # swept before it
+@settings(max_examples=200, deadline=None)
+@given(small_graph_runs())
+def test_simulate_writes_the_bytes_of_write_trace_of_run(case):
+    """simulate's one pass writes write_trace's file of run's trace, and
+    prints the sweep time is_swept finds, exit 0, or exit 10 without one."""
+    g, model, lions, moves = case
+    tr = run(g, model, lions, moves)
+    swept = is_swept(tr, g)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(tr, Path(tmp) / "trace.jsonl")
+        written = (Path(tmp) / "trace.jsonl").read_bytes()
+    if swept is None:
+        assert simulate_cli(*case) == (10, f"not swept within {len(moves)} steps\n", written)
+    else:
+        assert simulate_cli(*case) == (0, f"swept at t={swept}\n", written)
+
+
+def test_simulate_writes_the_largest_sweep_trace_as_its_json_rendering():
+    g, starts, plan = row_sweep_14_48()
+    tr = run(g, "free", starts, plan.moves)
+    code, out, written = simulate_cli(g, "free", starts, plan.moves)
+    assert (code, out) == (0, f"swept at t={len(plan.moves)}\n")
+    assert (hashlib.sha256(written).hexdigest()
+            == hashlib.sha256(json_trace_bytes(tr)).hexdigest())
+
+
+def test_simulate_renders_the_largest_sweep_from_the_running_text_list(monkeypatch, tmp_path):
+    """simulate --trace-out on the R_{14,48} row sweep renders each record as
+    the fold makes it, joining the fold's running list of cleared-vertex
+    texts: it looks up the text of the |C(0)| start vertices and of the 1,316
+    vertices that enter a record, plus the k lions of the t=0 record and the
+    k lions and k move targets of every later one, not the text of all
+    235,249 cleared vertices in the records.  It calls neither run nor
+    write_trace and holds lines, not records: under 2 MiB at its peak by
+    tracemalloc, where run and write_trace took 2.38 MiB."""
+    g, starts, plan = row_sweep_14_48()
+    graph, moves, trace = tmp_path / "g.txt", tmp_path / "m.txt", tmp_path / "t.jsonl"
+    save_graph(g, graph)
+    write_moves(plan.moves, moves)
+    argv = ["simulate", str(graph), "--lions", ",".join(map(str, starts)),
+            "--moves", str(moves), "--trace-out", str(trace)]
+    looked_up = [0]
+
+    class CountedText(dynamics._VertexText):
+        def __getitem__(self, v):
+            looked_up[0] += 1
+            return super().__getitem__(v)
+
+    def not_called(*args):
+        raise AssertionError("simulate renders from the fold, not from a Trace")
+
+    monkeypatch.setattr(dynamics, "_VertexText", CountedText)
+    for name in ("run", "write_trace", "is_swept"):
+        monkeypatch.setattr(dynamics, name, not_called)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = len(starts)
+    assert looked_up[0] == k + 1316 + k + 2 * k * len(plan.moves)
+    assert peak < 2 * 2 ** 20
+    monkeypatch.undo()
+    assert trace.read_bytes() == json_trace_bytes(run(g, "free", starts, plan.moves))
 
 
 def _held_by(build):
