@@ -298,22 +298,24 @@ def read_trace(path) -> Trace:
     increasing. Record i has t=i, the t=0 record alone has a null move, and
     the lion count and the length of every later move equal the first
     record's lion count. Vertices are not range-checked: that needs the
-    graph, and verify_lemma_bounds does it."""
-    records = []
+    graph, and verify_lemma_bounds does it. Each distinct cleared vertex is
+    one int object, shared by every record that holds it."""
+    records, ints = [], {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if raw.strip():
                 k = len(records[0][0].lions) if records else None
-                records.append(_parse_record(raw, lineno, len(records), k))
+                records.append(_parse_record(raw, lineno, len(records), k, ints))
     if not records:
         raise ParseError("trace has no records", 1)
     states, moves = zip(*records)
     return Trace(states, moves[1:])
 
 
-def _parse_record(line: str, lineno: int, t: int, k) -> tuple:
+def _parse_record(line: str, lineno: int, t: int, k, ints=None) -> tuple:
     """(SimState, move tuple or None) of record t from its non-blank line: a
-    record breaking read_trace's rules, k the first record's lions, raises ParseError."""
+    record breaking read_trace's rules, k the first record's lions, raises ParseError.
+    ints, if given, maps each accepted cleared vertex to the int object first read for it."""
     try:
         rec = json.loads(line.strip())
         time, lions, cleared, move = rec["t"], rec["lions"], rec["cleared"], rec["move"]
@@ -332,6 +334,8 @@ def _parse_record(line: str, lineno: int, t: int, k) -> tuple:
     if t and (len(lions) != k or len(move) != k):
         raise ParseError(f"trace record has {len(lions)} lions and a move for "
                          f"{len(move)}, the first record has {k} lions", lineno)
+    if ints is not None:  # only now: False == 0 would map a refused bool to an int
+        cleared = map(ints.setdefault, cleared, cleared)
     return SimState(t, tuple(lions), tuple(cleared)), move if move is None else tuple(move)
 
 

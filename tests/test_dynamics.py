@@ -664,3 +664,37 @@ def test_largest_sweep_trace_memory(tmp_path):
     back, held = _held_by(lambda: read_trace(path))
     assert held < 8 * 2 ** 20
     assert back == tr
+
+
+def test_read_trace_shares_one_int_per_cleared_vertex_of_the_largest_sweep(tmp_path):
+    """read_trace takes each cleared vertex's int from one per-call table, so
+    the records of the R_{14,48} row sweep share one object per vertex: its
+    trace equals run's and holds under 3.5 MiB, where an int per cleared
+    entry held 6.5 MiB, and its 235,249 cleared entries are at most
+    g.n = 672 objects."""
+    g, starts, plan = row_sweep_14_48()
+    tr = run(g, "free", starts, plan.moves)
+    path = tmp_path / "trace.jsonl"
+    write_trace(tr, path)
+    back, held = _held_by(lambda: read_trace(path))
+    assert back == tr
+    assert held < 3.5 * 2 ** 20
+    assert len({id(v) for s in back.states for v in s.cleared}) <= g.n
+
+
+PATH300 = make_graph(300, [(v, v + 1) for v in range(299)])
+
+
+# vertices past 256, which CPython does not cache, cleared in several records
+@example(run(PATH300, "free", (270, 280, 299), [(271, STAY, 298), (272, 281, STAY)]))
+@settings(max_examples=200, deadline=None)
+@given(small_graph_traces())
+def test_read_trace_shares_equal_cleared_vertices_across_records(tr):
+    """read_trace gives back the trace write_trace wrote, and equal cleared
+    vertices in different records are one int object."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(tr, Path(tmp) / "trace.jsonl")
+        back = read_trace(Path(tmp) / "trace.jsonl")
+    assert back == tr
+    first = {}
+    assert all(first.setdefault(v, v) is v for s in back.states for v in s.cleared)
