@@ -31,16 +31,16 @@ was not cleared stays contaminated; no state reachable from initial_state()
 has one, as Occ' is cleared.
 
 A record holds its cleared set as the strictly increasing tuple of its
-vertices, the order write_trace writes and read_trace checks: one pointer a
-vertex, where a frozenset's hash table costs several.  run() and verify
-convert only a step's difference C(t) ^ C(t+1) from mask to vertices (k lions
-add at most k vertices a step, and on the sweeps and walls of R_{n,l} a step
-loses few) and insert or delete each of those vertices, found by bisection,
-in one running increasing list, which run() copies into the next record's
-tuple without a sort; step() is that fold over one move.  verify and
-simulate (_simulate) keep each vertex's text in a parallel list and render a
-record as write_trace does by joining it: verify parses no line equal to
-that text, and simulate holds the lines in place of the records.
+vertices, the order write_trace writes and read_trace checks: one pointer
+a vertex, where a frozenset's hash table costs several.  run() and verify
+step each record from the one before, convert only the step's difference
+C(t) ^ C(t+1) from mask to vertices (at most k enter, and few leave on the
+sweeps and walls of R_{n,l}) and flip it by bisection in one running
+increasing list, never back; run() copies the list into each record's
+tuple, with no sort, and step() is that fold over one move.  verify and
+simulate (_simulate) keep the vertices' texts in a parallel list and
+render a record as write_trace does by joining it: verify parses no line
+equal to that text, and simulate holds the lines, not the records.
 
 The search expands a whole state at once: it takes Safe from
 graphs._interior_mask once per state and reads every successor off its move
@@ -233,11 +233,11 @@ def is_monotone(tr: Trace) -> bool:
 
 
 class _VertexText(dict):
-    """Per-call cache of each integer's JSON text: str(v), made once per value."""
+    """Per-call cache of each int's JSON text: str(v), made once per int."""
 
-    def __missing__(self, v: int) -> str:
-        text = self[v] = str(v)
-        return text
+    def __missing__(self, v) -> str:
+        # ints alone are cached: True and 1.0 equal 1 and would share its slot
+        return self.setdefault(v, str(v)) if type(v) is int else str(v)
 
     def line(self, s: SimState, move, cleared: Optional[str] = None) -> str:
         """The one rendering of a trace record, newline included; move is None

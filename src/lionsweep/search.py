@@ -357,42 +357,45 @@ _BROKEN_RULES = {"not-adjacent": "is not a step to adjacent vertices",
 
 
 def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
-    """Replay a trace, a Trace or the lines of a write_trace file, from
-    initial_state: the first record whose move validate_moves rejects under
-    the motion model, or whose lions or cleared set differ from the replay,
-    is a "replay" violation.  Also check, with k the lion count and
-    |boundary(C(t))| = |C(t)| - |Safe|, Safe being the interior that each
-    step hands step_cleared_mask, |C(t+1)| - |C(t)| <= k and that
+    """Replay a trace, the lines of a write_trace file or a Trace rendered
+    as them, from initial_state: the first record whose move validate_moves
+    rejects under the motion model, or whose lions or cleared set differ
+    from the replay, is a "replay" violation.  Also check, with k the lion
+    count and |boundary(C(t))| = |C(t)| - |Safe|, Safe being the interior
+    that each step hands step_cleared_mask, |C(t+1)| - |C(t)| <= k and that
     |boundary(C(t))| >= 2k forces |C(t+1)| <= |C(t)|: proved facts, so a
     violation means an engine bug or an edited trace.
 
-    While the replay agrees with the trace, the move at a line's end is
-    stepped, and a line equal to write_trace's rendering of the replayed
-    record is not parsed.  That rendering joins the one running list of the
-    cleared vertices and their texts, edited at the step's difference, so a
-    record costs no sort and no text for its unchanged vertices.  read_trace's
-    record parser takes any other line, range-checked at the two ends of its
-    increasing cleared list.  A ParseError wins over a lion off the graph,
-    that over a cleared vertex off it, the record's smallest (both
-    ValueError), and either over the report.  A Trace is read as rendered."""
+    One running list of the cleared vertices and their texts moves with its
+    mask by each step's difference, never back.  While the replay agrees with
+    the trace, the tail move, at a line's end, is stepped, and a line equal to
+    write_trace's rendering of that record is not parsed.  read_trace's record
+    parser takes any other line; its move is stepped unless it is a tail move
+    that validated, and its cleared list, if it differs from the running one,
+    is range-checked at its two ends and flipped into it.  A ParseError wins
+    over a lion off the graph, that over a cleared vertex off it, the record's
+    smallest (both ValueError), and either over the report."""
     if model not in dynamics.MODELS:  # validate_moves checks it only on a replayed move
         raise ValueError(f"unknown motion model {model!r}")
     text, masks = dynamics._VertexText(), g.neighbor_masks
     if isinstance(trace, Trace):
         trace = map(text.line, trace.states, (None, *trace.moves))
     violations, off_lions, off_cleared, cleared = [], [], [], 0
-    listed = dynamics._SortedVertices(text=text)  # the bits of cleared in order, with texts
+    listed = dynamics._SortedVertices(text=text)  # the bits of next_cleared in order, with texts
+
+    def step(mv, listed_mask):  # record a stepped by mv; listed moves there from listed_mask
+        positions, stepped = dynamics.step_cleared_mask(masks, a.lions, cleared, safe, mv)
+        listed.flip(mask_vertices(listed_mask ^ stepped))
+        return positions, stepped
+
     replaying, t, k = False, 0, None
     for lineno, raw in enumerate(trace, start=1):
-        b, detail = None, ""
-        mv = dynamics._tail_move(raw) if replaying else None
-        if mv is not None and len(mv) == k and not dynamics.validate_moves(g, model, a, mv):
-            positions, next_cleared = dynamics.step_cleared_mask(masks, a.lions, cleared, safe, mv)
-            flipped = mask_vertices(cleared ^ next_cleared)
-            listed.flip(flipped)
+        b, detail, next_cleared = None, "", cleared
+        tail = dynamics._tail_move(raw) if replaying else None
+        if tail is not None and len(tail) == k and not dynamics.validate_moves(g, model, a, tail):
+            positions, next_cleared = step(tail, next_cleared)
             b = SimState(t, positions, tuple(listed.order))
-            if text.line(b, mv, ", ".join(listed.texts)) != raw:  # not the replayed record
-                listed.flip(flipped)
+            if text.line(b, tail, ", ".join(listed.texts)) != raw:  # not the replayed record
                 b = None
         if b is None:
             if not raw.strip():
@@ -400,30 +403,27 @@ def verify_lemma_bounds(g: Graph, trace, model: str = "free") -> LemmaReport:
             b, mv = dynamics._parse_record(raw, lineno, t, k)
             k = len(b.lions)
             off_lions = off_lions or [v for v in b.lions if not 0 <= v < g.n]
-            if not (off_lions or off_cleared):  # cleared increases, so its ends bound it
-                if b.cleared and not (0 <= b.cleared[0] and b.cleared[-1] < g.n):
-                    off_cleared = [v for v in b.cleared if not 0 <= v < g.n]
-                else:
-                    flipped = set(b.cleared).symmetric_difference(listed.order)
-                    next_cleared = cleared ^ vertex_mask(flipped, g.n)
-                    listed.flip(flipped)
-            if off_lions or off_cleared:
-                replaying = False
-            elif not t:
-                replaying = b.cleared == initial_state(g, b.lions).cleared
-                detail = "" if replaying else "cleared set is not the lions'"
-            elif replaying:  # record a is the replayed one
+            if replaying:  # record a is the replayed one
                 broken = dynamics.validate_moves(g, model, a, mv)
                 if broken:
                     detail = f"move {list(mv)} " + " and ".join(
                         dict.fromkeys(_BROKEN_RULES[reason] for _, reason in broken))
-                else:
-                    positions, mask = dynamics.step_cleared_mask(masks, a.lions, cleared, safe, mv)
-                    if positions != b.lions:
-                        detail = f"lions {list(b.lions)}, replay gives {list(positions)}"
-                    elif mask != next_cleared:
-                        detail = f"cleared {list(b.cleared)}, " \
-                                 f"replay gives {list(mask_vertices(mask))}"
+                elif list(mv) != tail:  # a tail move that validated is stepped already
+                    positions, next_cleared = step(mv, next_cleared)
+            if replaying and not detail and positions != b.lions:
+                detail = f"lions {list(b.lions)}, replay gives {list(positions)}"
+            if not (off_lions or off_cleared) and list(b.cleared) != listed.order:
+                if b.cleared and not (0 <= b.cleared[0] and b.cleared[-1] < g.n):
+                    off_cleared = [v for v in b.cleared if not 0 <= v < g.n]
+                else:  # cleared increases, so its ends bound it
+                    if replaying and not detail:
+                        detail = f"cleared {list(b.cleared)}, replay gives {listed.order}"
+                    flipped = set(b.cleared).symmetric_difference(listed.order)
+                    next_cleared ^= vertex_mask(flipped, g.n)
+                    listed.flip(flipped)
+            replaying = not (off_lions or off_cleared) and (replaying or not t)  # record 0 starts it
+            if replaying and not t and b.cleared != initial_state(g, b.lions).cleared:
+                detail = "cleared set is not the lions'"
         if not (off_lions or off_cleared):
             growth = next_cleared.bit_count() - cleared.bit_count()
             if t and growth > k:

@@ -17,6 +17,7 @@ from lionsweep.dynamics import (MODELS, STAY, initial_state, read_trace, run, st
                                 write_trace)
 from lionsweep.graphs import build_tri_lattice, load_graph, make_graph, save_graph
 from lionsweep.search import verify_lemma_bounds
+from lionsweep.strategies import column_positions, row_sweep_moves
 
 
 @pytest.fixture
@@ -488,6 +489,13 @@ def _forge(rng, g, records, forgery):
         cleared[rng.randrange(len(cleared))] = rng.choice([True, 2.0])
     elif forgery == "unsorted cleared list":
         rec["cleared"] = cleared[::-1] if len(cleared) > 1 else cleared * 2
+    elif forgery == "decoy move key" and len(records) > 1:
+        # a key after "move" holding another valid move: _tail_move reads it
+        t = rng.randrange(1, len(records))
+        decoy, lions = list(records[t]["move"]), records[t - 1]["lions"]
+        i = rng.randrange(len(decoy))
+        decoy[i] = rng.choice([v for v in (STAY, *g.adj[lions[i]]) if v != decoy[i]])
+        records[t]["x"] = {"move": decoy}
 
 
 def _verify_both_ways(tmp_path_factory, g, text, model):
@@ -506,7 +514,7 @@ def _verify_both_ways(tmp_path_factory, g, text, model):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.sampled_from(sorted(_SPELLINGS)),
        st.sampled_from(["none", "flip a cleared vertex", "move a lion",
-                        "true or 2.0 as a vertex", "unsorted cleared list",
+                        "true or 2.0 as a vertex", "unsorted cleared list", "decoy move key",
                         *(f"move target as {s}" for s in _MOVE_SPELLINGS)]),
        st.sampled_from(MODELS))
 def test_streamed_verify_matches_read_trace_then_verify(tmp_path_factory, seed, spelling,
@@ -515,8 +523,9 @@ def test_streamed_verify_matches_read_trace_then_verify(tmp_path_factory, seed, 
     not the replay's own rendering: on random graphs, for canonical and other
     spellings of the same records, clean or with one forged record (among
     them a move target that verify's int() parse of a move reads otherwise
-    than JSON does), its exit code and output equal those of read_trace
-    followed by verify_lemma_bounds."""
+    than JSON does, and a decoy "move" key after the real one), its exit
+    code and output equal those of read_trace followed by
+    verify_lemma_bounds."""
     rng = random.Random(seed)
     g = random_connected_graph(rng, 2, 9)
     lions = tuple(rng.randrange(g.n) for _ in range(rng.randint(1, 3)))
@@ -534,6 +543,43 @@ def test_streamed_verify_matches_read_trace_then_verify(tmp_path_factory, seed, 
     assert streamed == old_way
     if forgery == "none" and model == "free":
         assert streamed[0] == 0
+
+
+def test_verify_steps_the_json_move_past_a_decoy_tail(tmp_path_factory):
+    """On the path 0-...-11 a lion steps from 2 to 3, and record 1 has a key
+    after "move" holding {"move": [1]}: _tail_move reads [1], a valid move
+    whose replayed record differs from the line, so verify parses the line
+    and steps its JSON move [3] in place of the tail's, finding no violation."""
+    g = make_graph(12, [(v, v + 1) for v in range(11)])
+    text = ('{"t": 0, "lions": [2], "cleared": [2], "move": null}\n'
+            '{"t": 1, "lions": [3], "cleared": [3], "move": [3], "x": {"move": [1]}}\n')
+    assert dynamics._tail_move(text.splitlines()[1]) == [1]
+    streamed, old_way = _verify_both_ways(tmp_path_factory, g, text, "free")
+    assert streamed == old_way == (0, "0 violations over 1 steps\n", "")
+
+
+@pytest.mark.parametrize("spelling", sorted(_SPELLINGS))
+def test_verify_steps_each_record_once(tmp_path, monkeypatch, spelling):
+    """verify steps each record from the one before once, whether it parses
+    the line or not: on the R_{3,5} row sweep, in every spelling, it makes
+    one step_cleared_mask call per step, also with reordered keys, whose
+    moves _tail_move reads though no line is the replay's rendering."""
+    g, starts = build_tri_lattice(3, 5), column_positions(3, 5)
+    tr = run(g, "free", starts, row_sweep_moves(3, 5, starts).moves)
+    records = [{"t": s.time, "lions": list(s.lions), "cleared": list(s.cleared),
+                "move": list(tr.moves[s.time - 1]) if s.time else None} for s in tr.states]
+    graph, trace = tmp_path / "r3_5.txt", tmp_path / "trace.jsonl"
+    save_graph(g, graph)
+    trace.write_bytes(_SPELLINGS[spelling](records).encode())
+    calls, kernel = [], dynamics.step_cleared_mask
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(dynamics, "step_cleared_mask", counted)
+    assert main(["verify", str(graph), "--trace", str(trace)]) == 0
+    assert len(calls) == len(tr.moves) == 12
 
 
 @pytest.mark.parametrize("spelling", sorted(_MOVE_SPELLINGS))

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from conftest import (WIDE_GRAPHS, random_connected_graph, row_sweep_14_48, small_graphs,
                       wide_graph, wide_masks)
 from lionsweep import cli, dynamics
-from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, initial_state,
-                                is_monotone, is_swept, read_moves, read_trace, run,
-                                step, step_cleared_mask, validate_moves, write_moves,
+from lionsweep.dynamics import (MODELS, STAY, InvalidMoveError, SimState, Trace,
+                                initial_state, is_monotone, is_swept, read_moves, read_trace,
+                                run, step, step_cleared_mask, validate_moves, write_moves,
                                 write_trace)
 from lionsweep.errors import ParseError
 from lionsweep.graphs import (_interior_mask, boundary, build_tri_lattice, make_graph,
@@ -383,6 +383,19 @@ def test_trace_serialization_round_trip(tmp_path):
     # empty and whitespace-only lines between and after the records are skipped
     path.write_text(first + "  \t\n\n" + "".join(rest) + " \n\n")
     assert read_trace(path) == tr
+
+
+@pytest.mark.parametrize("other", [True, 1.0])
+def test_write_trace_writes_an_int_as_itself_beside_an_equal_value(tmp_path, other):
+    """True and 1.0 equal the int 1 and would share its slot in the text
+    cache, so it holds the texts of ints alone: whichever of the two values
+    a record renders first (its cleared list comes before its lions), the
+    int 1 is written as 1."""
+    path = tmp_path / "trace.jsonl"
+    write_trace(Trace((SimState(0, (1,), (other,)),), ()), path)
+    assert path.read_text() == f'{{"t": 0, "lions": [1], "cleared": [{other}], "move": null}}\n'
+    write_trace(Trace((SimState(0, (other,), (1,)),), ()), path)
+    assert '"cleared": [1]' in path.read_text()
 
 
 @pytest.mark.parametrize("field, value", [("t", 5), ("lions", [0]), ("move", 5),

@@ -344,6 +344,20 @@ def test_one_place_enumerates_stacked_moves():
     assert len(calls) == 1, calls
 
 
+def test_two_places_call_the_update_kernel():
+    """Trajectories step through step_cleared_mask in two places, the fold
+    behind step, run and simulate, and verify's one local step: the package
+    calls it nowhere else."""
+    callers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "step_cleared_mask" in (
+                        getattr(node.func, "attr", None), getattr(node.func, "id", None)):
+                    callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == ["dynamics._fold", "search.verify_lemma_bounds"]
+
+
 def test_make_graph_validates():
     with pytest.raises(ValueError):
         make_graph(2, [(0, 0)])
